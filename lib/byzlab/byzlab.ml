@@ -2,12 +2,11 @@
 
    Where Netlab's adversary corrupts the {e channels}, this module
    corrupts the {e nodes}: a designated set B runs an attack strategy
-   instead of the protocol. One step of a Byzantine run, in order (both
-   steppers follow this exactly, with identical RNG draw sequences):
+   instead of the protocol. One step of a Byzantine run, in order:
 
      1. the protocol step: the scheduled {e correct} nodes react to the
-        visible configuration (exactly {!Engine.step_into} /
-        {!Kernel.step_into}); scheduled Byzantine nodes do not react;
+        visible configuration (the reaction engine's [step_into]);
+        scheduled Byzantine nodes do not react;
      2. Byzantine writes: each scheduled Byzantine node overwrites its
         out-edges according to the strategy — [Seeded_random] draws one
         uniform label code per out-edge from the stepper's RNG (in
@@ -20,10 +19,10 @@
    With B = ∅ no strategy ever acts: no RNG draw occurs and step 1 is
    the whole story — the steppers are bit-identical to the fault-free
    engines, which the differential tests in test_byzlab.ml pin down.
-   The boxed stepper ({!Boxed}) runs on boxed configurations through
-   {!Engine.step_into}; the packed stepper ({!Packed}) on int label
-   codes through {!Kernel.step_into}. Both draw the same decisions from
-   the same seed, so they are differential twins for every strategy.
+   The stepper is written once, over int label codes, as a functor over
+   the reaction engine: {!Packed} reacts through {!Kernel.step_into},
+   {!Reference} through {!Engine.Coded} (the boxed engine behind a
+   decode/encode), so one seed yields the same attack on both.
 
    The campaign layer sweeps Byzantine placements over Example 1
    cliques, a relay ring and the D-counter, measuring per placement the
@@ -132,18 +131,18 @@ let correct_active plan active =
   else active
 
 (* ------------------------------------------------------------------ *)
-(* Packed Byzantine stepper (over Kernel)                              *)
+(* The Byzantine stepper, over any reaction engine                     *)
 (* ------------------------------------------------------------------ *)
 
-module Packed = struct
+module Make (R : Engine.REACTION) = struct
   type ('x, 'l) t = {
-    kern : ('x, 'l) Kernel.t;
+    reaction : ('x, 'l) R.t;
     schedule : Schedule.t;
     rng : Random.State.t;
     plan : plan;
-    n : int;
     m : int;
     card : int;
+    decode : int -> 'l;
     counts : int array;  (* scratch for Anti_majority, card cells *)
     mutable src : int array;
     mutable dst : int array;
@@ -153,29 +152,21 @@ module Packed = struct
     mutable writes_done : int;
   }
 
-  let create ?kernel p ~input ~byz ~strategy ~schedule ~seed ~init =
-    let n = Protocol.num_nodes p in
-    let m = Protocol.num_edges p in
-    let kern =
-      match kernel with Some k -> k | None -> Kernel.create p ~input
-    in
-    let src = Array.make m 0 and dst = Array.make m 0 in
-    let src_o = Array.make n 0 and dst_o = Array.make n 0 in
-    Kernel.load kern init ~labels:src ~outputs:src_o;
-    let card = p.Protocol.space.Label.card in
+  let create reaction p ~byz ~strategy ~schedule ~seed ~init =
+    let space = p.Protocol.space in
     {
-      kern;
+      reaction;
       schedule;
       rng = Random.State.make [| seed |];
       plan = plan_make p ~byz ~strategy;
-      n;
-      m;
-      card;
-      counts = Array.make card 0;
-      src;
-      dst;
-      src_o;
-      dst_o;
+      m = Protocol.num_edges p;
+      card = space.Label.card;
+      decode = space.Label.decode;
+      counts = Array.make space.Label.card 0;
+      src = Array.map space.Label.encode init.Protocol.labels;
+      dst = Array.make (Protocol.num_edges p) 0;
+      src_o = Array.copy init.Protocol.outputs;
+      dst_o = Array.make (Protocol.num_nodes p) 0;
       step_count = 0;
       writes_done = 0;
     }
@@ -197,7 +188,7 @@ module Packed = struct
     let t = ch.step_count in
     let plan = ch.plan in
     let active = ch.schedule.Schedule.active t in
-    Kernel.step_into ch.kern ~src:ch.src ~src_outputs:ch.src_o ~dst:ch.dst
+    R.step_into ch.reaction ~src:ch.src ~src_outputs:ch.src_o ~dst:ch.dst
       ~dst_outputs:ch.dst_o ~active:(correct_active plan active);
     if plan.have_byz then begin
       match plan.strategy with
@@ -247,131 +238,16 @@ module Packed = struct
   let outputs ch = ch.src_o
   let steps_done ch = ch.step_count
   let writes_done ch = ch.writes_done
-  let config ch = Kernel.store ch.kern ~labels:ch.src ~outputs:ch.src_o
-end
-
-(* ------------------------------------------------------------------ *)
-(* Boxed Byzantine stepper (over Engine)                               *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed = struct
-  type ('x, 'l) t = {
-    p : ('x, 'l) Protocol.t;
-    input : 'x array;
-    schedule : Schedule.t;
-    rng : Random.State.t;
-    plan : plan;
-    n : int;
-    m : int;
-    card : int;
-    encode : 'l -> int;
-    decode : int -> 'l;
-    counts : int array;
-    mutable src : 'l Protocol.config;
-    mutable dst : 'l Protocol.config;
-    mutable step_count : int;
-    mutable writes_done : int;
-  }
-
-  let create p ~input ~byz ~strategy ~schedule ~seed ~init =
-    let n = Protocol.num_nodes p in
-    let m = Protocol.num_edges p in
-    let space = p.Protocol.space in
-    let copy (c : 'l Protocol.config) =
-      {
-        Protocol.labels = Array.copy c.Protocol.labels;
-        outputs = Array.copy c.Protocol.outputs;
-      }
-    in
-    {
-      p;
-      input;
-      schedule;
-      rng = Random.State.make [| seed |];
-      plan = plan_make p ~byz ~strategy;
-      n;
-      m;
-      card = space.Label.card;
-      encode = space.Label.encode;
-      decode = space.Label.decode;
-      counts = Array.make space.Label.card 0;
-      src = copy init;
-      dst = copy init;
-      step_count = 0;
-      writes_done = 0;
-    }
-
-  let minority_code ch =
-    let src = ch.src.Protocol.labels in
-    Array.fill ch.counts 0 ch.card 0;
-    for e = 0 to ch.m - 1 do
-      let c = ch.encode src.(e) in
-      ch.counts.(c) <- ch.counts.(c) + 1
-    done;
-    let best = ref 0 in
-    for c = 1 to ch.card - 1 do
-      if ch.counts.(c) < ch.counts.(!best) then best := c
-    done;
-    !best
-
-  let step ch =
-    let t = ch.step_count in
-    let plan = ch.plan in
-    let active = ch.schedule.Schedule.active t in
-    Engine.step_into ch.p ~input:ch.input ch.src
-      ~active:(correct_active plan active) ~into:ch.dst;
-    let dst = ch.dst.Protocol.labels in
-    if plan.have_byz then begin
-      match plan.strategy with
-      | Seeded_random ->
-          List.iter
-            (fun i ->
-              if plan.byz.(i) then
-                Array.iter
-                  (fun e ->
-                    dst.(e) <- ch.decode (Random.State.int ch.rng ch.card);
-                    ch.writes_done <- ch.writes_done + 1)
-                  plan.out_edges.(i))
-            active
-      | Anti_majority ->
-          if List.exists (fun i -> plan.byz.(i)) active then begin
-            let c = ch.decode (minority_code ch) in
-            List.iter
-              (fun i ->
-                if plan.byz.(i) then
-                  Array.iter
-                    (fun e ->
-                      dst.(e) <- c;
-                      ch.writes_done <- ch.writes_done + 1)
-                    plan.out_edges.(i))
-              active
-          end
-      | Replay _ ->
-          List.iter
-            (fun (w : Byzcheck.write) ->
-              dst.(w.Byzcheck.edge) <- ch.decode w.Byzcheck.code;
-              ch.writes_done <- ch.writes_done + 1)
-            (plan_writes_at plan t)
-    end;
-    let tl = ch.src in
-    ch.src <- ch.dst;
-    ch.dst <- tl;
-    ch.step_count <- t + 1
-
-  let run ch ~steps =
-    for _ = 1 to steps do
-      step ch
-    done
-
-  let steps_done ch = ch.step_count
-  let writes_done ch = ch.writes_done
 
   let config ch =
     {
-      Protocol.labels = Array.copy ch.src.Protocol.labels;
-      outputs = Array.copy ch.src.Protocol.outputs;
+      Protocol.labels = Array.map ch.decode ch.src;
+      outputs = Array.copy ch.src_o;
     }
 end
+
+module Packed = Make (Kernel)
+module Reference = Make (Engine.Coded)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign: deviation during an attack, recovery after it             *)
@@ -447,106 +323,102 @@ let byz_member n byz =
   List.iter (fun i -> if i >= 0 && i < n then mem.(i) <- true) byz;
   mem
 
+(* One attack: [attack] Byzantine steps from [init]. [probe ch mem
+   deviated] marks the correct nodes ([mem] is the Byzantine
+   membership) that deviate after a step and says whether any did.
+   Returns the deviation marks, the deviant step count and the
+   post-attack configuration. *)
+let attack_phase kern p ~schedule ~init ~probe ~byz ~strategy ~attack ~seed =
+  let n = Protocol.num_nodes p in
+  let ch = Packed.create kern p ~byz ~strategy ~schedule ~seed ~init in
+  let mem = byz_member n byz in
+  let deviated = Array.make n false in
+  let deviant = ref 0 in
+  for _ = 1 to attack do
+    Packed.step ch;
+    if probe ch mem deviated then incr deviant
+  done;
+  (deviated, !deviant, Packed.config ch)
+
+(* A correct node deviates when its output differs from [reference]. *)
+let output_probe reference ch mem deviated =
+  let outs = Packed.outputs ch in
+  let bad = ref false in
+  for i = 0 to Array.length reference - 1 do
+    if (not mem.(i)) && outs.(i) <> reference.(i) then begin
+      deviated.(i) <- true;
+      bad := true
+    end
+  done;
+  !bad
+
+let settle_time settled = Option.map (fun s -> s.Engine.settle_time) settled
+
+(* A scenario judged by outputs whose recovery is the post-attack output
+   settle time. [healthy kern] gives the reference outputs and the
+   configuration every attack starts from. *)
+let settle_scenario ~name p ~input ~schedule ~placements ~healthy =
+  let graph = p.Protocol.graph in
+  let context () =
+    let kern = Kernel.create p ~input in
+    let reference, init = healthy kern in
+    (kern, attack_phase kern p ~schedule ~init ~probe:(output_probe reference))
+  in
+  let fresh () =
+    let kern, attack_run = context () in
+    fun ~byz ~strategy ~attack ~seed ~max_steps ->
+      let deviated, deviant_steps, post =
+        attack_run ~byz ~strategy ~attack ~seed
+      in
+      result_of ~graph ~byz ~deviated ~deviant_steps
+        ~recovery:
+          (settle_time (Kernel.settle kern ~init:post ~schedule ~max_steps))
+  in
+  let fresh_batch () =
+    let kern, attack_run = context () in
+    let bt = Batch.create kern in
+    fun ~byzs ~strategy ~attack ~seeds ~max_steps ->
+      let runs =
+        Array.mapi
+          (fun t seed -> attack_run ~byz:byzs.(t) ~strategy ~attack ~seed)
+          seeds
+      in
+      let settled =
+        Batch.settle bt
+          ~inits:(Array.map (fun (_, _, post) -> post) runs)
+          ~schedule ~max_steps
+      in
+      Array.mapi
+        (fun t (deviated, deviant_steps, _) ->
+          result_of ~graph ~byz:byzs.(t) ~deviated ~deviant_steps
+            ~recovery:(settle_time settled.(t)))
+        runs
+  in
+  {
+    name;
+    schedule_name = schedule.Schedule.name;
+    nodes = Protocol.num_nodes p;
+    placements;
+    fresh;
+    fresh_batch;
+  }
+
 (* Example 1 on K_n: the reference is the healthy run's settled outputs;
    an attack step is deviant when some correct node's output differs from
    it, and recovery is the post-attack output settle time. *)
 let example1 ?(n = 4) () =
   let n = max 3 n in
   let p = Clique_example.make n in
-  let input = Clique_example.input n in
   let init = Clique_example.oscillation_init p in
   let schedule = Schedule.synchronous n in
-  let fresh () =
-    let kern = Kernel.create p ~input in
-    let healthy =
+  settle_scenario
+    ~name:(Printf.sprintf "example1_k%d" n)
+    p ~input:(Clique_example.input n) ~schedule
+    ~placements:[ []; [ 0 ]; [ 0; 1 ] ]
+    ~healthy:(fun kern ->
       match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
-      | Some h -> h
-      | None -> invalid_arg "Byzlab.example1: healthy run did not settle"
-    in
-    let reference = healthy.Engine.settled_outputs in
-    let steady = healthy.Engine.horizon_config in
-    fun ~byz ~strategy ~attack ~seed ~max_steps ->
-      let ch =
-        Packed.create ~kernel:kern p ~input ~byz ~strategy ~schedule ~seed
-          ~init:steady
-      in
-      let mem = byz_member n byz in
-      let deviated = Array.make n false in
-      let deviant = ref 0 in
-      for _ = 1 to attack do
-        Packed.step ch;
-        let outs = Packed.outputs ch in
-        let bad = ref false in
-        for i = 0 to n - 1 do
-          if (not mem.(i)) && outs.(i) <> reference.(i) then begin
-            deviated.(i) <- true;
-            bad := true
-          end
-        done;
-        if !bad then incr deviant
-      done;
-      let post = Packed.config ch in
-      let recovery =
-        match Kernel.settle kern ~init:post ~schedule ~max_steps with
-        | Some s -> Some s.Engine.settle_time
-        | None -> None
-      in
-      result_of ~graph:p.Protocol.graph ~byz ~deviated ~deviant_steps:!deviant
-        ~recovery
-  in
-  let fresh_batch () =
-    let kern = Kernel.create p ~input in
-    let bt = Batch.create kern in
-    let healthy =
-      match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
-      | Some h -> h
-      | None -> invalid_arg "Byzlab.example1: healthy run did not settle"
-    in
-    let reference = healthy.Engine.settled_outputs in
-    let steady = healthy.Engine.horizon_config in
-    fun ~byzs ~strategy ~attack ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      let deviated = Array.init b (fun _ -> Array.make n false) in
-      let deviant = Array.make b 0 in
-      let posts =
-        Array.init b (fun t ->
-            let ch =
-              Packed.create ~kernel:kern p ~input ~byz:byzs.(t) ~strategy
-                ~schedule ~seed:seeds.(t) ~init:steady
-            in
-            let mem = byz_member n byzs.(t) in
-            for _ = 1 to attack do
-              Packed.step ch;
-              let outs = Packed.outputs ch in
-              let bad = ref false in
-              for i = 0 to n - 1 do
-                if (not mem.(i)) && outs.(i) <> reference.(i) then begin
-                  deviated.(t).(i) <- true;
-                  bad := true
-                end
-              done;
-              if !bad then deviant.(t) <- deviant.(t) + 1
-            done;
-            Packed.config ch)
-      in
-      let settled = Batch.settle bt ~inits:posts ~schedule ~max_steps in
-      Array.init b (fun t ->
-          let recovery =
-            match settled.(t) with
-            | Some s -> Some s.Engine.settle_time
-            | None -> None
-          in
-          result_of ~graph:p.Protocol.graph ~byz:byzs.(t)
-            ~deviated:deviated.(t) ~deviant_steps:deviant.(t) ~recovery)
-  in
-  {
-    name = Printf.sprintf "example1_k%d" n;
-    schedule_name = schedule.Schedule.name;
-    nodes = n;
-    placements = [ []; [ 0 ]; [ 0; 1 ] ];
-    fresh;
-    fresh_batch;
-  }
+      | Some h -> (h.Engine.settled_outputs, h.Engine.horizon_config)
+      | None -> invalid_arg "Byzlab.example1: healthy run did not settle")
 
 (* A unidirectional relay ring: each node forwards the label it reads and
    outputs it. Healthy from the all-false labeling nothing ever changes;
@@ -565,86 +437,11 @@ let relay_ring ?(n = 6) () =
           ([| incoming.(0) |], if incoming.(0) then 1 else 0));
     }
   in
-  let input = Array.make n () in
-  let schedule = Schedule.synchronous n in
-  let init = Protocol.uniform_config p false in
-  let fresh () =
-    let kern = Kernel.create p ~input in
-    fun ~byz ~strategy ~attack ~seed ~max_steps ->
-      let ch =
-        Packed.create ~kernel:kern p ~input ~byz ~strategy ~schedule ~seed
-          ~init
-      in
-      let mem = byz_member n byz in
-      let deviated = Array.make n false in
-      let deviant = ref 0 in
-      for _ = 1 to attack do
-        Packed.step ch;
-        let outs = Packed.outputs ch in
-        let bad = ref false in
-        for i = 0 to n - 1 do
-          if (not mem.(i)) && outs.(i) <> 0 then begin
-            deviated.(i) <- true;
-            bad := true
-          end
-        done;
-        if !bad then incr deviant
-      done;
-      let post = Packed.config ch in
-      let recovery =
-        match Kernel.settle kern ~init:post ~schedule ~max_steps with
-        | Some s -> Some s.Engine.settle_time
-        | None -> None
-      in
-      result_of ~graph:p.Protocol.graph ~byz ~deviated ~deviant_steps:!deviant
-        ~recovery
-  in
-  let fresh_batch () =
-    let kern = Kernel.create p ~input in
-    let bt = Batch.create kern in
-    fun ~byzs ~strategy ~attack ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      let deviated = Array.init b (fun _ -> Array.make n false) in
-      let deviant = Array.make b 0 in
-      let posts =
-        Array.init b (fun t ->
-            let ch =
-              Packed.create ~kernel:kern p ~input ~byz:byzs.(t) ~strategy
-                ~schedule ~seed:seeds.(t) ~init
-            in
-            let mem = byz_member n byzs.(t) in
-            for _ = 1 to attack do
-              Packed.step ch;
-              let outs = Packed.outputs ch in
-              let bad = ref false in
-              for i = 0 to n - 1 do
-                if (not mem.(i)) && outs.(i) <> 0 then begin
-                  deviated.(t).(i) <- true;
-                  bad := true
-                end
-              done;
-              if !bad then deviant.(t) <- deviant.(t) + 1
-            done;
-            Packed.config ch)
-      in
-      let settled = Batch.settle bt ~inits:posts ~schedule ~max_steps in
-      Array.init b (fun t ->
-          let recovery =
-            match settled.(t) with
-            | Some s -> Some s.Engine.settle_time
-            | None -> None
-          in
-          result_of ~graph:p.Protocol.graph ~byz:byzs.(t)
-            ~deviated:deviated.(t) ~deviant_steps:deviant.(t) ~recovery)
-  in
-  {
-    name = Printf.sprintf "relay_ring_%d" n;
-    schedule_name = schedule.Schedule.name;
-    nodes = n;
-    placements = [ []; [ 0 ]; [ 0; 1 ]; [ 0; n / 2 ] ];
-    fresh;
-    fresh_batch;
-  }
+  settle_scenario
+    ~name:(Printf.sprintf "relay_ring_%d" n)
+    p ~input:(Array.make n ()) ~schedule:(Schedule.synchronous n)
+    ~placements:[ []; [ 0 ]; [ 0; 1 ]; [ 0; n / 2 ] ]
+    ~healthy:(fun _ -> (Array.make n 0, Protocol.uniform_config p false))
 
 (* The D-counter: an attack step is deviant when the correct nodes'
    counters disagree; a node deviates when its counter differs from the
@@ -665,63 +462,62 @@ let d_counter ?(n = 5) ?(d = 8) () =
   let first_out =
     Array.init n (fun j -> (Digraph.out_edges p.Protocol.graph j).(0))
   in
-  let fresh () =
+  let everyone = List.init n Fun.id in
+  let graph = p.Protocol.graph in
+  (* Per-domain context: a kernel, its counter reader and the attack
+     probing counter deviation on the packed labels. *)
+  let context () =
     let kern = Kernel.create p ~input in
     let counter_at labels j =
       let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
       c
     in
-    let bufs = Array.init 2 (fun _ -> Array.make m 0) in
-    let obufs = Array.init 2 (fun _ -> Array.make n 0) in
-    let everyone = List.init n Fun.id in
+    let vals = Array.make n 0 in
+    let probe ch mem deviated =
+      let labels = Packed.labels ch in
+      for i = 0 to n - 1 do
+        vals.(i) <- counter_at labels i
+      done;
+      (* Most common counter value among correct nodes (ties to the
+         smallest value), the per-step reference. *)
+      let modal = ref 0 and modal_count = ref (-1) in
+      for i = 0 to n - 1 do
+        if not mem.(i) then begin
+          let c = ref 0 in
+          for j = 0 to n - 1 do
+            if (not mem.(j)) && vals.(j) = vals.(i) then incr c
+          done;
+          if !c > !modal_count || (!c = !modal_count && vals.(i) < !modal)
+          then begin
+            modal := vals.(i);
+            modal_count := !c
+          end
+        end
+      done;
+      let bad = ref false in
+      for i = 0 to n - 1 do
+        if (not mem.(i)) && vals.(i) <> !modal then begin
+          deviated.(i) <- true;
+          bad := true
+        end
+      done;
+      !bad
+    in
+    (kern, counter_at, attack_phase kern p ~schedule ~init:steady ~probe)
+  in
+  let fresh () =
+    let kern, counter_at, attack_run = context () in
     let agreed labels =
       let c0 = counter_at labels 0 in
       let rec go j = j >= n || (counter_at labels j = c0 && go (j + 1)) in
       go 1
     in
+    let bufs = Array.init 2 (fun _ -> Array.make m 0) in
+    let obufs = Array.init 2 (fun _ -> Array.make n 0) in
     fun ~byz ~strategy ~attack ~seed ~max_steps ->
-      let ch =
-        Packed.create ~kernel:kern p ~input ~byz ~strategy ~schedule ~seed
-          ~init:steady
+      let deviated, deviant_steps, post =
+        attack_run ~byz ~strategy ~attack ~seed
       in
-      let mem = byz_member n byz in
-      let deviated = Array.make n false in
-      let deviant = ref 0 in
-      let vals = Array.make n 0 in
-      for _ = 1 to attack do
-        Packed.step ch;
-        let labels = Packed.labels ch in
-        for i = 0 to n - 1 do
-          vals.(i) <- counter_at labels i
-        done;
-        (* Most common counter value among correct nodes (ties to the
-           smallest value), the per-step reference. *)
-        let modal = ref 0 and modal_count = ref (-1) in
-        for i = 0 to n - 1 do
-          if not mem.(i) then begin
-            let c = ref 0 in
-            for j = 0 to n - 1 do
-              if (not mem.(j)) && vals.(j) = vals.(i) then incr c
-            done;
-            if
-              !c > !modal_count
-              || (!c = !modal_count && vals.(i) < !modal)
-            then begin
-              modal := vals.(i);
-              modal_count := !c
-            end
-          end
-        done;
-        let bad = ref false in
-        for i = 0 to n - 1 do
-          if (not mem.(i)) && vals.(i) <> !modal then begin
-            deviated.(i) <- true;
-            bad := true
-          end
-        done;
-        if !bad then incr deviant
-      done;
-      let post = Packed.config ch in
       (* Re-lock loop, as in Netlab's d_counter scenario. *)
       let cur = ref bufs.(0) and curo = ref obufs.(0) in
       let nxt = ref bufs.(1) and nxto = ref obufs.(1) in
@@ -744,16 +540,11 @@ let d_counter ?(n = 5) ?(d = 8) () =
         nxto := to_;
         incr s
       done;
-      result_of ~graph:p.Protocol.graph ~byz ~deviated ~deviant_steps:!deviant
-        ~recovery:!found
+      result_of ~graph ~byz ~deviated ~deviant_steps ~recovery:!found
   in
   let fresh_batch () =
-    let kern = Kernel.create p ~input in
+    let kern, _, attack_run = context () in
     let bt = Batch.create kern in
-    let counter_at labels j =
-      let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
-      c
-    in
     let counter_at_plane ~j i =
       let _, (_, _, c) =
         Kernel.decode_label kern (Batch.label_code bt ~j first_out.(i))
@@ -765,55 +556,16 @@ let d_counter ?(n = 5) ?(d = 8) () =
       let rec go i = i >= n || (counter_at_plane ~j i = c0 && go (i + 1)) in
       go 1
     in
-    let everyone = List.init n Fun.id in
     fun ~byzs ~strategy ~attack ~seeds ~max_steps ->
       let b = Array.length seeds in
-      let deviated = Array.init b (fun _ -> Array.make n false) in
-      let deviant = Array.make b 0 in
-      let vals = Array.make n 0 in
-      let posts =
-        Array.init b (fun t ->
-            let ch =
-              Packed.create ~kernel:kern p ~input ~byz:byzs.(t) ~strategy
-                ~schedule ~seed:seeds.(t) ~init:steady
-            in
-            let mem = byz_member n byzs.(t) in
-            for _ = 1 to attack do
-              Packed.step ch;
-              let labels = Packed.labels ch in
-              for i = 0 to n - 1 do
-                vals.(i) <- counter_at labels i
-              done;
-              let modal = ref 0 and modal_count = ref (-1) in
-              for i = 0 to n - 1 do
-                if not mem.(i) then begin
-                  let c = ref 0 in
-                  for j = 0 to n - 1 do
-                    if (not mem.(j)) && vals.(j) = vals.(i) then incr c
-                  done;
-                  if
-                    !c > !modal_count
-                    || (!c = !modal_count && vals.(i) < !modal)
-                  then begin
-                    modal := vals.(i);
-                    modal_count := !c
-                  end
-                end
-              done;
-              let bad = ref false in
-              for i = 0 to n - 1 do
-                if (not mem.(i)) && vals.(i) <> !modal then begin
-                  deviated.(t).(i) <- true;
-                  bad := true
-                end
-              done;
-              if !bad then deviant.(t) <- deviant.(t) + 1
-            done;
-            Packed.config ch)
+      let runs =
+        Array.mapi
+          (fun t seed -> attack_run ~byz:byzs.(t) ~strategy ~attack ~seed)
+          seeds
       in
       (* Batched re-lock. The per-instance loop takes one more step after
          recording [found], so retiring at [found] cannot change it. *)
-      Batch.load_block bt posts;
+      Batch.load_block bt (Array.map (fun (_, _, post) -> post) runs);
       let run_len = Array.make b 0 in
       let found = Array.make b None in
       let s = ref 0 in
@@ -832,10 +584,11 @@ let d_counter ?(n = 5) ?(d = 8) () =
         Batch.step bt ~active:everyone;
         incr s
       done;
-      Array.init b (fun t ->
-          result_of ~graph:p.Protocol.graph ~byz:byzs.(t)
-            ~deviated:deviated.(t) ~deviant_steps:deviant.(t)
+      Array.mapi
+        (fun t (deviated, deviant_steps, _) ->
+          result_of ~graph ~byz:byzs.(t) ~deviated ~deviant_steps
             ~recovery:found.(t))
+        runs
   in
   {
     name = Printf.sprintf "d_counter_n%d_d%d" n d;
@@ -877,13 +630,6 @@ type campaign = {
   runs_per_level : int;
   levels : level_stats list;
 }
-
-let percentile sorted q =
-  let k = Array.length sorted in
-  if k = 0 then 0
-  else
-    let rank = int_of_float (ceil (q *. float k)) - 1 in
-    sorted.(max 0 (min (k - 1) rank))
 
 let string_of_byz byz =
   "[" ^ String.concat "," (List.map string_of_int byz) ^ "]"
@@ -964,42 +710,16 @@ let cells ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)
                (strategy_config strategy) attack seeds seed0 max_steps;
            run =
              (fun ~deadline ~attempt ->
-               let seed0 = seed0 + (attempt * Campaign.reseed_stride) in
-               if batch <= 1 then begin
-                 let measure = sc.fresh () in
-                 Array.init seeds (fun j ->
-                     if deadline () then raise Campaign.Deadline_exceeded;
-                     measure ~byz ~strategy ~attack ~seed:(seed0 + j)
-                       ~max_steps)
-               end
-               else begin
-                 let bf = sc.fresh_batch () in
-                 let out =
-                   Array.make seeds
-                     {
-                       deviant_steps = 0;
-                       deviant_nodes = 0;
-                       max_radius = -1;
-                       recovery = None;
-                     }
-                 in
-                 let lo = ref 0 in
-                 while !lo < seeds do
-                   if deadline () then raise Campaign.Deadline_exceeded;
-                   let hi = min seeds (!lo + batch) in
-                   let len = hi - !lo in
-                   let block =
+               Campaign.seed_block ~seeds ~seed0 ~batch ~deadline ~attempt
+                 ~fresh:(fun () ->
+                   let measure = sc.fresh () in
+                   fun seed -> measure ~byz ~strategy ~attack ~seed ~max_steps)
+                 ~fresh_batch:(fun () ->
+                   let bf = sc.fresh_batch () in
+                   fun seeds ->
                      bf
-                       ~byzs:(Array.make len byz)
-                       ~strategy ~attack
-                       ~seeds:(Array.init len (fun t -> seed0 + !lo + t))
-                       ~max_steps
-                   in
-                   Array.blit block 0 out !lo len;
-                   lo := hi
-                 done;
-                 out
-               end);
+                       ~byzs:(Array.make (Array.length seeds) byz)
+                       ~strategy ~attack ~seeds ~max_steps));
          })
        pls)
 
@@ -1007,11 +727,11 @@ let cells ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)
    stabilized, zero-deviation level — shape-identical merges. *)
 let stats_of_row ~nodes ~seeds ~attack byz row =
   let correct = nodes - List.length byz in
-  let times = ref [] and recovered = ref 0 in
   let dev = ref 0 and stab = ref 0. and radius = ref (-1) in
   (match row with
   | None -> stab := float seeds
   | Some results ->
+      (* Last run first: the float sum's order is part of the output. *)
       for j = seeds - 1 downto 0 do
         let r = results.(j) in
         dev := !dev + r.deviant_steps;
@@ -1020,18 +740,11 @@ let stats_of_row ~nodes ~seeds ~attack byz row =
           +.
           if correct = 0 then 1.0
           else float (correct - r.deviant_nodes) /. float correct;
-        if r.max_radius > !radius then radius := r.max_radius;
-        match r.recovery with
-        | Some t ->
-            incr recovered;
-            times := t :: !times
-        | None -> ()
+        if r.max_radius > !radius then radius := r.max_radius
       done);
-  let arr = Array.of_list !times in
-  Array.sort compare arr;
-  let cnt = Array.length arr in
-  let mean =
-    if cnt = 0 then 0. else float (Array.fold_left ( + ) 0 arr) /. float cnt
+  let s =
+    Campaign.summary
+      (Array.map (fun r -> r.recovery) (Option.value row ~default:[||]))
   in
   {
     byz;
@@ -1039,11 +752,11 @@ let stats_of_row ~nodes ~seeds ~attack byz row =
     mean_deviant = float !dev /. float (seeds * max 1 attack);
     mean_stabilized = !stab /. float seeds;
     worst_radius = !radius;
-    recovered = !recovered;
-    mean_recovery = mean;
-    p50 = percentile arr 0.5;
-    p95 = percentile arr 0.95;
-    worst = (if cnt = 0 then 0 else arr.(cnt - 1));
+    recovered = s.recovered;
+    mean_recovery = s.mean;
+    p50 = s.p50;
+    p95 = s.p95;
+    worst = s.worst;
   }
 
 let run_matrix ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)

@@ -5,13 +5,12 @@
     overwrites its out-edges with labels of the strategy's choosing,
     immediately after the scheduled correct nodes' reactions land.
 
-    The boxed stepper ({!Boxed}) runs on boxed configurations through
-    {!Stateless_core.Engine.step_into}; the packed stepper ({!Packed})
-    on int label codes through {!Stateless_core.Kernel.step_into}. Both
-    consume identical RNG draw sequences, so one seed yields the same
-    attack on both (differential twins), and with [B = ∅] neither
-    strategy ever acts — no draw occurs and the steppers are
-    bit-identical to the fault-free engines.
+    The attack is written once, over int label codes, and the correct
+    nodes react through a reaction engine: {!Packed} steps with
+    {!Stateless_core.Kernel}, {!Reference} with the boxed
+    {!Stateless_core.Engine}. One seed yields the same attack on both,
+    and with [B = ∅] no strategy ever acts — no draw occurs and the
+    steppers are bit-identical to the fault-free engines.
 
     The campaign layer sweeps Byzantine placements over Example 1
     cliques, a relay ring and the D-counter through
@@ -39,19 +38,20 @@ val strategy_by_name : string -> strategy option
 
 val strategy_names : string list
 
-(** Packed Byzantine stepper over {!Stateless_core.Kernel}. *)
-module Packed : sig
+(** The Byzantine stepper over the reaction engine [R], which the
+    scheduled correct nodes react through once per step. *)
+module Make (R : Stateless_core.Engine.REACTION) : sig
   type ('x, 'l) t
 
-  (** [create p ~input ~byz ~strategy ~schedule ~seed ~init] builds a
-      stepper with Byzantine set [byz]. [kernel] reuses a prebuilt
-      kernel (they are not domain-safe — one per domain).
+  (** [create reaction p ~byz ~strategy ~schedule ~seed ~init] builds a
+      stepper with Byzantine set [byz]. [reaction] is built for [p] and
+      may be shared by successive runs (kernels are not domain-safe —
+      one per domain).
       @raise Invalid_argument on an out-of-range or duplicate Byzantine
       node, or a [Replay] witness writing a non-Byzantine edge. *)
   val create :
-    ?kernel:('x, 'l) Stateless_core.Kernel.t ->
+    ('x, 'l) R.t ->
     ('x, 'l) Stateless_core.Protocol.t ->
-    input:'x array ->
     byz:int list ->
     strategy:strategy ->
     schedule:Stateless_core.Schedule.t ->
@@ -76,27 +76,12 @@ module Packed : sig
   val config : ('x, 'l) t -> 'l Stateless_core.Protocol.config
 end
 
-(** Boxed Byzantine stepper over {!Stateless_core.Engine} — the
-    differential twin of {!Packed}. *)
-module Boxed : sig
-  type ('x, 'l) t
+(** The Byzantine stepper over the packed {!Stateless_core.Kernel}. *)
+module Packed : module type of Make (Stateless_core.Kernel)
 
-  val create :
-    ('x, 'l) Stateless_core.Protocol.t ->
-    input:'x array ->
-    byz:int list ->
-    strategy:strategy ->
-    schedule:Stateless_core.Schedule.t ->
-    seed:int ->
-    init:'l Stateless_core.Protocol.config ->
-    ('x, 'l) t
-
-  val step : ('x, 'l) t -> unit
-  val run : ('x, 'l) t -> steps:int -> unit
-  val steps_done : ('x, 'l) t -> int
-  val writes_done : ('x, 'l) t -> int
-  val config : ('x, 'l) t -> 'l Stateless_core.Protocol.config
-end
+(** The same stepper over {!Stateless_core.Engine.Coded}, the boxed
+    engine's reaction: the reference {!Packed} is checked against. *)
+module Reference : module type of Make (Stateless_core.Engine.Coded)
 
 (** One attacked run: [deviant_steps] attack steps had some correct node
     deviating from the scenario's reference, [deviant_nodes] correct
@@ -196,11 +181,12 @@ val codec : run_result array Stateless_campaign.Campaign.codec
 
 (** [cells ~strategy sc] compiles the placement sweep into matrix
     cells — one per Byzantine placement, key ["byz/<scenario>/p<i>"],
-    covering the placement's whole seed block. Deadlines are polled
-    between seeds (or lock-step blocks when [batch > 1]); retries reseed
-    by [attempt * Campaign.reseed_stride]. [Replay] strategies enter the
-    config as a structural hash of the witness — journal replay across
-    processes is only meaningful for the nameable strategies. *)
+    covering the placement's whole seed block, run by
+    {!Stateless_campaign.Campaign.seed_block} (deadline polls between
+    seeds or lock-step blocks, reseeded retries). [Replay] strategies
+    enter the config as a structural hash of the witness — journal
+    replay across processes is only meaningful for the nameable
+    strategies. *)
 val cells :
   ?placements:int list list ->
   ?seeds:int ->

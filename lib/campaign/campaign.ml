@@ -40,6 +40,57 @@ let default_policy =
 
 let reseed_stride = 1_000_003
 
+(* A retry shifts the whole seed block, so it re-measures with fresh
+   randomness. *)
+let seed_block ~seeds ~seed0 ~batch ~deadline ~attempt ~fresh ~fresh_batch =
+  let seed0 = seed0 + (attempt * reseed_stride) in
+  if batch <= 1 then begin
+    let measure = fresh () in
+    Array.init seeds (fun j ->
+        if deadline () then raise Deadline_exceeded;
+        measure (seed0 + j))
+  end
+  else begin
+    let measure = fresh_batch () in
+    let rec go lo acc =
+      if lo >= seeds then Array.concat (List.rev acc)
+      else begin
+        if deadline () then raise Deadline_exceeded;
+        let len = min batch (seeds - lo) in
+        let block = measure (Array.init len (fun t -> seed0 + lo + t)) in
+        go (lo + len) (block :: acc)
+      end
+    in
+    go 0 []
+  end
+
+type summary = {
+  recovered : int;
+  mean : float;
+  p50 : int;
+  p95 : int;
+  worst : int;
+}
+
+let summary row =
+  let times = Array.of_list (List.filter_map Fun.id (Array.to_list row)) in
+  Array.sort compare times;
+  let k = Array.length times in
+  (* Nearest rank: the ceil(q * k)-th smallest time. *)
+  let rank q =
+    if k = 0 then 0
+    else times.(max 0 (min (k - 1) (int_of_float (ceil (q *. float k)) - 1)))
+  in
+  {
+    recovered = k;
+    mean =
+      (if k = 0 then 0.
+       else float (Array.fold_left ( + ) 0 times) /. float k);
+    p50 = rank 0.5;
+    p95 = rank 0.95;
+    worst = (if k = 0 then 0 else times.(k - 1));
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Fingerprints and the deadline clock                                 *)
 (* ------------------------------------------------------------------ *)

@@ -186,9 +186,9 @@ let first_diff a b =
 
 (* Runs every applicable pair for [s]; returns the pair count and the
    first divergence. The boxed engine is the reference for the core
-   group; the channel and Byzantine layers compare their boxed/packed
-   twins; small labeling spaces compare the production checker against
-   the naive oracle. *)
+   group; the channel and Byzantine adversaries each run once over the
+   boxed engine's reaction and once over the kernel's; small labeling
+   spaces compare the production checker against the naive oracle. *)
 let check_counted ?mutant (s : scenario) : int * divergence option =
   let p, input, init, schedule = build s in
   let steps = s.steps in
@@ -221,26 +221,28 @@ let check_counted ?mutant (s : scenario) : int * divergence option =
         ("mutant:" ^ mutant_name m)
         (fun () -> traj_mutant m p ~input ~init ~schedule ~steps)
   | None -> ());
-  (* Channel twins under the scenario's fault budget. *)
+  (* One channel adversary over both reaction engines, under the
+     scenario's fault budget. The pair keeps its historical name. *)
   if !found = None then begin
     incr pairs;
     let rates = Netlab.rates ~loss:s.loss ~dup:s.dup () in
     let budget = { Netlab.k = s.budget_k; window = 4 } in
     let boxed =
-      Netlab.Boxed.create p ~input ~rates ~budget ~schedule ~seed:s.seed ~init
+      Netlab.Reference.create (Engine.Coded.create p ~input) p ~rates ~budget
+        ~schedule ~seed:s.seed ~init
     in
     let packed =
-      Netlab.Packed.create p ~input ~rates ~budget ~schedule ~seed:s.seed
-        ~init
+      Netlab.Packed.create (Kernel.create p ~input) p ~rates ~budget ~schedule
+        ~seed:s.seed ~init
     in
     (try
        for t = 1 to steps do
-         Netlab.Boxed.step boxed;
+         Netlab.Reference.step boxed;
          Netlab.Packed.step packed;
          if
            not
              (Proptest.config_eq p
-                (Netlab.Boxed.config boxed)
+                (Netlab.Reference.config boxed)
                 (Netlab.Packed.config packed))
          then begin
            found :=
@@ -255,7 +257,7 @@ let check_counted ?mutant (s : scenario) : int * divergence option =
          end
        done;
        if
-         Netlab.Boxed.faults_injected boxed
+         Netlab.Reference.faults_injected boxed
          <> Netlab.Packed.faults_injected packed
        then
          found :=
@@ -268,26 +270,27 @@ let check_counted ?mutant (s : scenario) : int * divergence option =
              }
      with Exit -> ())
   end;
-  (* Byzantine twins when the scenario places adversaries. *)
+  (* One Byzantine adversary over both reaction engines, when the
+     scenario places adversaries. *)
   if !found = None && s.byz > 0 then begin
     incr pairs;
     let byz = List.init (min s.byz s.nodes) Fun.id in
     let boxed =
-      Byzlab.Boxed.create p ~input ~byz ~strategy:Byzlab.Seeded_random
-        ~schedule ~seed:s.seed ~init
+      Byzlab.Reference.create (Engine.Coded.create p ~input) p ~byz
+        ~strategy:Byzlab.Seeded_random ~schedule ~seed:s.seed ~init
     in
     let packed =
-      Byzlab.Packed.create p ~input ~byz ~strategy:Byzlab.Seeded_random
-        ~schedule ~seed:s.seed ~init
+      Byzlab.Packed.create (Kernel.create p ~input) p ~byz
+        ~strategy:Byzlab.Seeded_random ~schedule ~seed:s.seed ~init
     in
-    Byzlab.Boxed.run boxed ~steps;
+    Byzlab.Reference.run boxed ~steps;
     Byzlab.Packed.run packed ~steps;
     if
       (not
          (Proptest.config_eq p
-            (Byzlab.Boxed.config boxed)
+            (Byzlab.Reference.config boxed)
             (Byzlab.Packed.config packed)))
-      || Byzlab.Boxed.writes_done boxed <> Byzlab.Packed.writes_done packed
+      || Byzlab.Reference.writes_done boxed <> Byzlab.Packed.writes_done packed
     then
       found :=
         Some

@@ -10,10 +10,12 @@
       {!Stateless_core.Kernel}, the batched SoA {!Stateless_core.Batch},
       and — on synchronous schedules — {!Stateless_core.Eventsim} in its
       synchronous anchor mode;
-    - the channel twins [Netlab.Boxed]/[Netlab.Packed] under the
-      scenario's loss/duplication rates and adversary budget;
-    - the Byzantine twins [Byzlab.Boxed]/[Byzlab.Packed] when the
-      scenario places adversaries;
+    - one channel adversary run over both reaction engines
+      ([Netlab.Reference] against [Netlab.Packed]) under the scenario's
+      loss/duplication rates and adversary budget;
+    - one Byzantine adversary run over both reaction engines
+      ([Byzlab.Reference] against [Byzlab.Packed]) when the scenario
+      places adversaries;
     - the production checker against the naive oracle ([r = 1]) when
       the labeling space is small enough to enumerate.
 

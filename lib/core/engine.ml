@@ -37,6 +37,50 @@ let step_into p ~input config ~active ~into =
       into.outputs.(i) <- y)
     active
 
+module type REACTION = sig
+  type ('x, 'l) t
+
+  val step_into :
+    ('x, 'l) t ->
+    src:int array ->
+    src_outputs:int array ->
+    dst:int array ->
+    dst_outputs:int array ->
+    active:int list ->
+    unit
+end
+
+module Coded = struct
+  type ('x, 'l) t = {
+    p : ('x, 'l) Protocol.t;
+    input : 'x array;
+    src : 'l Protocol.config;
+    dst : 'l Protocol.config;
+  }
+
+  let create p ~input =
+    let blank () =
+      {
+        Protocol.labels =
+          Array.make (Protocol.num_edges p) (p.Protocol.space.Label.decode 0);
+        outputs = Array.make (Protocol.num_nodes p) 0;
+      }
+    in
+    { p; input; src = blank (); dst = blank () }
+
+  let step_into t ~src ~src_outputs ~dst ~dst_outputs ~active =
+    let space = t.p.Protocol.space and n = Array.length src_outputs in
+    Array.iteri
+      (fun e c -> t.src.Protocol.labels.(e) <- space.Label.decode c)
+      src;
+    Array.blit src_outputs 0 t.src.Protocol.outputs 0 n;
+    step_into t.p ~input:t.input t.src ~active ~into:t.dst;
+    Array.iteri
+      (fun e l -> dst.(e) <- space.Label.encode l)
+      t.dst.Protocol.labels;
+    Array.blit t.dst.Protocol.outputs 0 dst_outputs 0 n
+end
+
 let run p ~input ~init ~schedule ~steps =
   if steps <= 0 then init
   else begin

@@ -41,6 +41,35 @@ val step_into :
   into:'l Protocol.config ->
   unit
 
+(** {1 Reactions on packed label codes} *)
+
+(** One global transition on packed buffers: [src]/[dst] hold one label
+    code per edge, [src_outputs]/[dst_outputs] one output per node. Every
+    node of [active] reacts to [src]; all other labels and outputs
+    persist. {!Kernel} satisfies this signature, and so does {!Coded}. *)
+module type REACTION = sig
+  type ('x, 'l) t
+
+  val step_into :
+    ('x, 'l) t ->
+    src:int array ->
+    src_outputs:int array ->
+    dst:int array ->
+    dst_outputs:int array ->
+    active:int list ->
+    unit
+end
+
+(** {!step_into} as a {!REACTION}: decode the codes with the label space,
+    step the boxed configuration, encode the successor back. The
+    reference the packed kernel is differentially checked against, for
+    code that is written once over label codes. *)
+module Coded : sig
+  include REACTION
+
+  val create : ('x, 'l) Protocol.t -> input:'x array -> ('x, 'l) t
+end
+
 (** [run p ~input ~init ~schedule ~steps] iterates {!step} for exactly
     [steps] steps and returns the final configuration. *)
 val run :

@@ -271,14 +271,6 @@ let scenario_by_name ?n name =
 
 let default_fractions = [ 0.1; 0.25; 0.5; 0.75; 1.0 ]
 
-(* Nearest-rank percentile over the sorted recovery times. *)
-let percentile sorted q =
-  let k = Array.length sorted in
-  if k = 0 then 0
-  else
-    let rank = int_of_float (ceil (q *. float k)) - 1 in
-    sorted.(max 0 (min (k - 1) rank))
-
 (* One matrix cell per fraction row covering its whole seed block: fine
    enough that a resumed campaign skips completed rows, coarse enough
    that a row's batched lock-step stepping stays intact. The config
@@ -317,34 +309,16 @@ let cells ?(fractions = default_fractions) ?(seeds = 30) ?(max_steps = 10_000)
                sc.name sc.schedule_name fraction seeds seed0 max_steps;
            run =
              (fun ~deadline ~attempt ->
-               (* Retries reseed: attempt [a] shifts the whole seed block
-                  so a flaky row re-measures with fresh randomness. *)
-               let seed0 = seed0 + (attempt * Campaign.reseed_stride) in
-               if batch <= 1 then begin
-                 let recover = sc.fresh () in
-                 Array.init seeds (fun j ->
-                     if deadline () then raise Campaign.Deadline_exceeded;
-                     recover ~fraction ~seed:(seed0 + j) ~max_steps)
-               end
-               else begin
-                 let bf = sc.fresh_batch () in
-                 let out = Array.make seeds None in
-                 let lo = ref 0 in
-                 while !lo < seeds do
-                   if deadline () then raise Campaign.Deadline_exceeded;
-                   let hi = min seeds (!lo + batch) in
-                   let len = hi - !lo in
-                   let block =
+               Campaign.seed_block ~seeds ~seed0 ~batch ~deadline ~attempt
+                 ~fresh:(fun () ->
+                   let recover = sc.fresh () in
+                   fun seed -> recover ~fraction ~seed ~max_steps)
+                 ~fresh_batch:(fun () ->
+                   let bf = sc.fresh_batch () in
+                   fun seeds ->
                      bf
-                       ~fractions:(Array.make len fraction)
-                       ~seeds:(Array.init len (fun t -> seed0 + !lo + t))
-                       ~max_steps
-                   in
-                   Array.blit block 0 out !lo len;
-                   lo := hi
-                 done;
-                 out
-               end);
+                       ~fractions:(Array.make (Array.length seeds) fraction)
+                       ~seeds ~max_steps));
          })
        fractions)
 
@@ -353,31 +327,15 @@ let cells ?(fractions = default_fractions) ?(seeds = 30) ?(max_steps = 10_000)
    a deterministic row for it, so resumed and degraded merges stay
    shape-identical. *)
 let stats_of_row ~seeds fraction row =
-  let times = ref [] and recovered = ref 0 in
-  (match row with
-  | None -> ()
-  | Some results ->
-      for j = seeds - 1 downto 0 do
-        match results.(j) with
-        | Some t ->
-            incr recovered;
-            times := t :: !times
-        | None -> ()
-      done);
-  let arr = Array.of_list !times in
-  Array.sort compare arr;
-  let k = Array.length arr in
-  let mean =
-    if k = 0 then 0. else float (Array.fold_left ( + ) 0 arr) /. float k
-  in
+  let s = Campaign.summary (Option.value row ~default:[||]) in
   {
     fraction;
     runs = seeds;
-    recovered = !recovered;
-    mean;
-    p50 = percentile arr 0.5;
-    p95 = percentile arr 0.95;
-    worst = (if k = 0 then 0 else arr.(k - 1));
+    recovered = s.recovered;
+    mean = s.mean;
+    p50 = s.p50;
+    p95 = s.p95;
+    worst = s.worst;
   }
 
 let run_matrix ?(fractions = default_fractions) ?(seeds = 30)

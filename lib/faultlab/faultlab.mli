@@ -90,9 +90,9 @@ val codec : int option array Stateless_campaign.Campaign.codec
 
 (** [cells scenario] compiles the fraction sweep into matrix cells — one
     cell per fraction row, key ["faults/<scenario>/f<i>"], covering the
-    row's whole seed block. The cell polls its deadline between seeds
-    (or between lock-step blocks when [batch > 1]) and reseeds retries
-    by [attempt * Campaign.reseed_stride]. Config strings exclude
+    row's whole seed block, run by
+    {!Stateless_campaign.Campaign.seed_block} (deadline polls between
+    seeds or lock-step blocks, reseeded retries). Config strings exclude
     [domains] and [batch]: results are identical across both, so a
     journal written at one setting replays at any other. *)
 val cells :

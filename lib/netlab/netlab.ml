@@ -7,15 +7,13 @@
    deterministic seeded adversary that may take at most [k] fault actions
    per window of [window] steps.
 
-   One step of a channel-aware run, in order (both steppers follow this
-   exactly, with identical RNG draw sequences):
+   One step of a channel-aware run, in order:
 
      1. window boundary: at steps t ≡ 0 (mod window) the budget recharges;
      2. wakes: nodes whose silence expires relabel their out-edges with
         adversarially drawn labels, visible immediately;
      3. the protocol step: the scheduled, non-silent nodes react to the
-        visible configuration (exactly {!Engine.step_into} /
-        {!Kernel.step_into});
+        visible configuration (the reaction engine's [step_into]);
      4. write faults: each label-changing write of an active node is,
         budget permitting, lost (the reader keeps seeing the stale label)
         or delayed 1..max_delay steps through a per-edge FIFO;
@@ -32,10 +30,12 @@
    are bit-identical to the fault-free engines, which the differential
    tests in test_netlab.ml pin down.
 
-   The boxed stepper ({!Boxed}) runs on boxed configurations through
-   {!Engine.step_into}; the packed stepper ({!Packed}) on int label codes
-   through {!Kernel.step_into}. Both draw the same decisions from the same
-   seed, so they are differential twins at every budget, not only at 0. *)
+   The stepper is written once, over int label codes, as a functor over
+   the reaction engine: {!Packed} reacts through {!Kernel.step_into},
+   {!Reference} through {!Engine.Coded} (the boxed engine behind a
+   decode/encode). The adversary exists in one copy, so one seed yields
+   the same storm on both and comparing them checks the kernel under
+   faults at every budget, not only at 0. *)
 
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
@@ -89,11 +89,10 @@ let check_budget b =
   if b.k < 0 then invalid_arg "Netlab: budget k must be >= 0";
   if b.window < 1 then invalid_arg "Netlab: budget window must be >= 1"
 
-(* The decision engine shared by both steppers. All randomness lives here
-   and in the wake relabeling; decisions are drawn in a fixed order per
-   step, and a draw happens only when the remaining budget is positive —
-   so a zero budget consumes no randomness at all, and both steppers
-   consume identical draw sequences at every budget. *)
+(* The adversary's decisions. All randomness lives here and in the wake
+   relabeling; decisions are drawn in a fixed order per step, and a draw
+   happens only when the remaining budget is positive — so a zero budget
+   consumes no randomness at all. *)
 type adv = {
   rng : Random.State.t;
   rates : rates;
@@ -146,17 +145,18 @@ let adv_fires a rate =
   else false
 
 (* ------------------------------------------------------------------ *)
-(* Packed channel stepper (over Kernel)                                *)
+(* The channel stepper, over any reaction engine                       *)
 (* ------------------------------------------------------------------ *)
 
-module Packed = struct
+module Make (R : Engine.REACTION) = struct
   type ('x, 'l) t = {
-    kern : ('x, 'l) Kernel.t;
+    reaction : ('x, 'l) R.t;
     schedule : Schedule.t;
     adv : adv;
     n : int;
     m : int;
     card : int;
+    decode : int -> 'l;
     out_edges : int array array;
     mutable src : int array;
     mutable dst : int array;
@@ -171,28 +171,25 @@ module Packed = struct
     mutable step_count : int;
   }
 
-  let create ?kernel p ~input ~rates ~budget ~schedule ~seed ~init =
+  let create reaction p ~rates ~budget ~schedule ~seed ~init =
     let n = Protocol.num_nodes p in
     let m = Protocol.num_edges p in
-    let kern =
-      match kernel with Some k -> k | None -> Kernel.create p ~input
-    in
-    let src = Array.make m 0 and dst = Array.make m 0 in
-    let src_o = Array.make n 0 and dst_o = Array.make n 0 in
-    Kernel.load kern init ~labels:src ~outputs:src_o;
+    let space = p.Protocol.space in
+    let src = Array.map space.Label.encode init.Protocol.labels in
     let cap = rates.max_delay in
     {
-      kern;
+      reaction;
       schedule;
       adv = adv_make ~rates ~budget ~seed;
       n;
       m;
-      card = p.Protocol.space.Label.card;
+      card = space.Label.card;
+      decode = space.Label.decode;
       out_edges = Array.init n (Digraph.out_edges p.Protocol.graph);
       src;
-      dst;
-      src_o;
-      dst_o;
+      dst = Array.make m 0;
+      src_o = Array.copy init.Protocol.outputs;
+      dst_o = Array.make n 0;
       stale = Array.copy src;
       silent = Array.make n 0;
       cap;
@@ -265,7 +262,7 @@ module Packed = struct
         List.filter (fun i -> ch.silent.(i) = 0) active
       else active
     in
-    Kernel.step_into ch.kern ~src:ch.src ~src_outputs:ch.src_o ~dst:ch.dst
+    R.step_into ch.reaction ~src:ch.src ~src_outputs:ch.src_o ~dst:ch.dst
       ~dst_outputs:ch.dst_o ~active:alive;
     (* Write faults on this step's label-changing writes. *)
     List.iter
@@ -312,7 +309,12 @@ module Packed = struct
   let outputs ch = ch.src_o
   let steps_done ch = ch.step_count
   let faults_injected ch = ch.adv.injected
-  let config ch = Kernel.store ch.kern ~labels:ch.src ~outputs:ch.src_o
+
+  let config ch =
+    {
+      Protocol.labels = Array.map ch.decode ch.src;
+      outputs = Array.copy ch.src_o;
+    }
 
   (* End-of-storm cleanup: pending deliveries are dropped (lost with the
      storm) and silent nodes wake in place, without the adversarial
@@ -322,175 +324,8 @@ module Packed = struct
     Array.fill ch.silent 0 ch.n 0
 end
 
-(* ------------------------------------------------------------------ *)
-(* Boxed channel stepper (over Engine)                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Boxed = struct
-  type ('x, 'l) t = {
-    p : ('x, 'l) Protocol.t;
-    input : 'x array;
-    schedule : Schedule.t;
-    adv : adv;
-    n : int;
-    m : int;
-    card : int;
-    encode : 'l -> int;
-    decode : int -> 'l;
-    out_edges : int array array;
-    mutable src : 'l Protocol.config;
-    mutable dst : 'l Protocol.config;
-    stale : 'l array;
-    silent : int array;
-    cap : int;
-    fifo_lab : 'l array;
-    fifo_due : int array;
-    fifo_len : int array;
-    mutable step_count : int;
-  }
-
-  let create p ~input ~rates ~budget ~schedule ~seed ~init =
-    let n = Protocol.num_nodes p in
-    let m = Protocol.num_edges p in
-    let space = p.Protocol.space in
-    let copy (c : 'l Protocol.config) =
-      {
-        Protocol.labels = Array.copy c.Protocol.labels;
-        outputs = Array.copy c.Protocol.outputs;
-      }
-    in
-    let cap = rates.max_delay in
-    {
-      p;
-      input;
-      schedule;
-      adv = adv_make ~rates ~budget ~seed;
-      n;
-      m;
-      card = space.Label.card;
-      encode = space.Label.encode;
-      decode = space.Label.decode;
-      out_edges = Array.init n (Digraph.out_edges p.Protocol.graph);
-      src = copy init;
-      dst = copy init;
-      stale = Array.copy init.Protocol.labels;
-      silent = Array.make n 0;
-      cap;
-      fifo_lab = Array.make (m * cap) init.Protocol.labels.(0);
-      fifo_due = Array.make (m * cap) 0;
-      fifo_len = Array.make m 0;
-      step_count = 0;
-    }
-
-  let enqueue ch e lab due =
-    let l = ch.fifo_len.(e) in
-    if l < ch.cap then begin
-      ch.fifo_lab.((e * ch.cap) + l) <- lab;
-      ch.fifo_due.((e * ch.cap) + l) <- due;
-      ch.fifo_len.(e) <- l + 1
-    end
-
-  let deliver_due ch t =
-    let dst = ch.dst.Protocol.labels in
-    for e = 0 to ch.m - 1 do
-      let l = ch.fifo_len.(e) in
-      if l > 0 then begin
-        let base = e * ch.cap in
-        let kept = ref 0 in
-        for j = 0 to l - 1 do
-          if ch.fifo_due.(base + j) <= t then begin
-            let c = ch.fifo_lab.(base + j) in
-            if ch.encode c <> ch.encode dst.(e) then begin
-              ch.stale.(e) <- dst.(e);
-              dst.(e) <- c
-            end
-          end
-          else begin
-            ch.fifo_lab.(base + !kept) <- ch.fifo_lab.(base + j);
-            ch.fifo_due.(base + !kept) <- ch.fifo_due.(base + j);
-            incr kept
-          end
-        done;
-        ch.fifo_len.(e) <- !kept
-      end
-    done
-
-  let step ch =
-    let t = ch.step_count in
-    let a = ch.adv in
-    let src = ch.src.Protocol.labels in
-    adv_begin_step a ~t;
-    for i = 0 to ch.n - 1 do
-      if ch.silent.(i) > 0 then begin
-        ch.silent.(i) <- ch.silent.(i) - 1;
-        if ch.silent.(i) = 0 then
-          Array.iter
-            (fun e ->
-              let c = Random.State.int a.rng ch.card in
-              if c <> ch.encode src.(e) then begin
-                ch.stale.(e) <- src.(e);
-                src.(e) <- ch.decode c
-              end)
-            ch.out_edges.(i)
-      end
-    done;
-    let active = ch.schedule.Schedule.active t in
-    let alive =
-      if Array.exists (fun s -> s > 0) ch.silent then
-        List.filter (fun i -> ch.silent.(i) = 0) active
-      else active
-    in
-    Engine.step_into ch.p ~input:ch.input ch.src ~active:alive ~into:ch.dst;
-    let dst = ch.dst.Protocol.labels in
-    List.iter
-      (fun i ->
-        Array.iter
-          (fun e ->
-            if ch.encode dst.(e) <> ch.encode src.(e) then
-              match adv_on_write a with
-              | Deliver -> ch.stale.(e) <- src.(e)
-              | Lose -> dst.(e) <- src.(e)
-              | Delay d ->
-                  enqueue ch e dst.(e) (t + d);
-                  dst.(e) <- src.(e))
-          ch.out_edges.(i))
-      alive;
-    deliver_due ch t;
-    if adv_fires a a.rates.dup then begin
-      let e = Random.State.int a.rng ch.m in
-      if ch.encode ch.stale.(e) <> ch.encode dst.(e) then begin
-        let old = dst.(e) in
-        dst.(e) <- ch.stale.(e);
-        ch.stale.(e) <- old
-      end
-    end;
-    if adv_fires a a.rates.crash then begin
-      let i = Random.State.int a.rng ch.n in
-      if ch.silent.(i) = 0 then ch.silent.(i) <- a.rates.crash_len + 1
-    end;
-    let tl = ch.src in
-    ch.src <- ch.dst;
-    ch.dst <- tl;
-    ch.step_count <- t + 1
-
-  let run ch ~steps =
-    for _ = 1 to steps do
-      step ch
-    done
-
-  let steps_done ch = ch.step_count
-  let faults_injected ch = ch.adv.injected
-
-  let config ch =
-    {
-      Protocol.labels = Array.copy ch.src.Protocol.labels;
-      outputs = Array.copy ch.src.Protocol.outputs;
-    }
-
-  let flush ch =
-    Array.fill ch.fifo_len 0 ch.m 0;
-    Array.fill ch.silent 0 ch.n 0
-end
+module Packed = Make (Kernel)
+module Reference = Make (Engine.Coded)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign: degradation during a fault storm, recovery after it       *)
@@ -528,6 +363,22 @@ type scenario = {
    kernel) and batch the fault-free post-storm phase, where the wall time
    dominates for recovery-heavy campaigns. *)
 
+(* One storm: [storm] channel steps from [steady], counting the steps on
+   which [healthy] fails; returns that count and the flushed post-storm
+   configuration. *)
+let storm_phase kern p ~schedule ~steady ~healthy ~rates ~budget ~storm ~seed
+    =
+  let ch = Packed.create kern p ~rates ~budget ~schedule ~seed ~init:steady in
+  let degraded = ref 0 in
+  for _ = 1 to storm do
+    Packed.step ch;
+    if not (healthy ch) then incr degraded
+  done;
+  Packed.flush ch;
+  (!degraded, Packed.config ch)
+
+let settle_time settled = Option.map (fun s -> s.Engine.settle_time) settled
+
 (* Example 1 on K_n: the reference is the healthy run's settled outputs;
    a storm step is degraded when the visible outputs differ from them, and
    recovery is the post-storm output settle time. *)
@@ -537,80 +388,44 @@ let example1 ?(n = 4) () =
   let input = Clique_example.input n in
   let init = Clique_example.oscillation_init p in
   let schedule = Schedule.synchronous n in
-  let fresh () =
+  (* Per-domain context: a kernel and the storm from its healthy run. *)
+  let context () =
     let kern = Kernel.create p ~input in
-    let healthy =
-      match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
-      | Some h -> h
-      | None ->
-          invalid_arg "Netlab.example1: healthy run did not settle"
-    in
-    let reference = healthy.Engine.settled_outputs in
-    let steady = healthy.Engine.horizon_config in
+    match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
+    | None -> invalid_arg "Netlab.example1: healthy run did not settle"
+    | Some h ->
+        let reference = h.Engine.settled_outputs in
+        ( kern,
+          storm_phase kern p ~schedule ~steady:h.Engine.horizon_config
+            ~healthy:(fun ch ->
+              Array.for_all2 Int.equal (Packed.outputs ch) reference) )
+  in
+  let fresh () =
+    let kern, storm_run = context () in
     fun ~rates ~budget ~storm ~seed ~max_steps ->
-      let ch =
-        Packed.create ~kernel:kern p ~input ~rates ~budget ~schedule ~seed
-          ~init:steady
-      in
-      let degraded = ref 0 in
-      for _ = 1 to storm do
-        Packed.step ch;
-        let outs = Packed.outputs ch in
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          if outs.(i) <> reference.(i) then ok := false
-        done;
-        if not !ok then incr degraded
-      done;
-      Packed.flush ch;
-      let post = Packed.config ch in
-      let recovery =
-        match Kernel.settle kern ~init:post ~schedule ~max_steps with
-        | Some s -> Some s.Engine.settle_time
-        | None -> None
-      in
-      { degraded_steps = !degraded; recovery }
+      let degraded_steps, post = storm_run ~rates ~budget ~storm ~seed in
+      {
+        degraded_steps;
+        recovery =
+          settle_time (Kernel.settle kern ~init:post ~schedule ~max_steps);
+      }
   in
   let fresh_batch () =
-    let kern = Kernel.create p ~input in
+    let kern, storm_run = context () in
     let bt = Batch.create kern in
-    let healthy =
-      match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
-      | Some h -> h
-      | None -> invalid_arg "Netlab.example1: healthy run did not settle"
-    in
-    let reference = healthy.Engine.settled_outputs in
-    let steady = healthy.Engine.horizon_config in
     fun ~rates ~budget ~storm ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      let degraded = Array.make b 0 in
-      let posts =
-        Array.init b (fun t ->
-            let ch =
-              Packed.create ~kernel:kern p ~input ~rates:rates.(t) ~budget
-                ~schedule ~seed:seeds.(t) ~init:steady
-            in
-            for _ = 1 to storm do
-              Packed.step ch;
-              let outs = Packed.outputs ch in
-              let ok = ref true in
-              for i = 0 to n - 1 do
-                if outs.(i) <> reference.(i) then ok := false
-              done;
-              if not !ok then degraded.(t) <- degraded.(t) + 1
-            done;
-            Packed.flush ch;
-            Packed.config ch)
+      let runs =
+        Array.mapi
+          (fun t seed -> storm_run ~rates:rates.(t) ~budget ~storm ~seed)
+          seeds
       in
-      let settled = Batch.settle bt ~inits:posts ~schedule ~max_steps in
-      Array.init b (fun t ->
-          {
-            degraded_steps = degraded.(t);
-            recovery =
-              (match settled.(t) with
-              | Some s -> Some s.Engine.settle_time
-              | None -> None);
-          })
+      let settled =
+        Batch.settle bt ~inits:(Array.map snd runs) ~schedule ~max_steps
+      in
+      Array.map2
+        (fun (degraded_steps, _) s ->
+          { degraded_steps; recovery = settle_time s })
+        runs settled
   in
   {
     name = Printf.sprintf "example1_k%d" n;
@@ -636,7 +451,10 @@ let d_counter ?(n = 5) ?(d = 8) () =
   let first_out =
     Array.init n (fun j -> (Digraph.out_edges p.Protocol.graph j).(0))
   in
-  let fresh () =
+  let everyone = List.init n Fun.id in
+  (* Per-domain context: a kernel and the storm probing counter
+     agreement on the packed labels. *)
+  let context () =
     let kern = Kernel.create p ~input in
     let counter_at labels j =
       let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
@@ -647,21 +465,17 @@ let d_counter ?(n = 5) ?(d = 8) () =
       let rec go j = j >= n || (counter_at labels j = c0 && go (j + 1)) in
       go 1
     in
+    ( kern,
+      agreed,
+      storm_phase kern p ~schedule ~steady ~healthy:(fun ch ->
+          agreed (Packed.labels ch)) )
+  in
+  let fresh () =
+    let kern, agreed, storm_run = context () in
     let bufs = Array.init 2 (fun _ -> Array.make m 0) in
     let obufs = Array.init 2 (fun _ -> Array.make n 0) in
-    let everyone = List.init n Fun.id in
     fun ~rates ~budget ~storm ~seed ~max_steps ->
-      let ch =
-        Packed.create ~kernel:kern p ~input ~rates ~budget ~schedule ~seed
-          ~init:steady
-      in
-      let degraded = ref 0 in
-      for _ = 1 to storm do
-        Packed.step ch;
-        if not (agreed (Packed.labels ch)) then incr degraded
-      done;
-      Packed.flush ch;
-      let post = Packed.config ch in
+      let degraded_steps, post = storm_run ~rates ~budget ~storm ~seed in
       (* Re-lock loop, as in Faultlab's d_counter scenario. *)
       let cur = ref bufs.(0) and curo = ref obufs.(0) in
       let nxt = ref bufs.(1) and nxto = ref obufs.(1) in
@@ -684,20 +498,11 @@ let d_counter ?(n = 5) ?(d = 8) () =
         nxto := to_;
         incr s
       done;
-      { degraded_steps = !degraded; recovery = !found }
+      { degraded_steps; recovery = !found }
   in
   let fresh_batch () =
-    let kern = Kernel.create p ~input in
+    let kern, _, storm_run = context () in
     let bt = Batch.create kern in
-    let counter_at labels j =
-      let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
-      c
-    in
-    let agreed labels =
-      let c0 = counter_at labels 0 in
-      let rec go j = j >= n || (counter_at labels j = c0 && go (j + 1)) in
-      go 1
-    in
     let counter_at_plane j nd =
       let _, (_, _, c) =
         Kernel.decode_label kern (Batch.label_code bt ~j first_out.(nd))
@@ -709,27 +514,16 @@ let d_counter ?(n = 5) ?(d = 8) () =
       let rec go nd = nd >= n || (counter_at_plane j nd = c0 && go (nd + 1)) in
       go 1
     in
-    let everyone = List.init n Fun.id in
     fun ~rates ~budget ~storm ~seeds ~max_steps ->
       let b = Array.length seeds in
-      let degraded = Array.make b 0 in
-      let posts =
-        Array.init b (fun t ->
-            let ch =
-              Packed.create ~kernel:kern p ~input ~rates:rates.(t) ~budget
-                ~schedule ~seed:seeds.(t) ~init:steady
-            in
-            for _ = 1 to storm do
-              Packed.step ch;
-              if not (agreed (Packed.labels ch)) then
-                degraded.(t) <- degraded.(t) + 1
-            done;
-            Packed.flush ch;
-            Packed.config ch)
+      let runs =
+        Array.mapi
+          (fun t seed -> storm_run ~rates:rates.(t) ~budget ~storm ~seed)
+          seeds
       in
       (* Batched re-lock: the per-instance loop, lock-stepped; an instance
          retires the moment its agreement window fills. *)
-      Batch.load_block bt posts;
+      Batch.load_block bt (Array.map snd runs);
       let found = Array.make b None in
       let run_len = Array.make b 0 in
       let s = ref 0 in
@@ -748,8 +542,9 @@ let d_counter ?(n = 5) ?(d = 8) () =
         Batch.step bt ~active:everyone;
         incr s
       done;
-      Array.init b (fun t ->
-          { degraded_steps = degraded.(t); recovery = found.(t) })
+      Array.mapi
+        (fun t (degraded_steps, _) -> { degraded_steps; recovery = found.(t) })
+        runs
   in
   {
     name = Printf.sprintf "d_counter_n%d_d%d" n d;
@@ -796,13 +591,6 @@ let default_levels =
       rates ~loss:l ~delay:d ~max_delay:4 ~dup:(l /. 2.) ~crash:(d /. 4.)
         ~crash_len:2 ())
     [ (0.0, 0.0); (0.05, 0.05); (0.15, 0.10); (0.30, 0.20); (0.50, 0.30) ]
-
-let percentile sorted q =
-  let k = Array.length sorted in
-  if k = 0 then 0
-  else
-    let rank = int_of_float (ceil (q *. float k)) - 1 in
-    sorted.(max 0 (min (k - 1) rank))
 
 (* One matrix cell per rate level covering its whole seed block; the
    codec stores each run as a [degraded_steps, recovery] pair (recovery
@@ -865,70 +653,35 @@ let cells ?(levels = default_levels) ?(seeds = 20) ?(storm = 400)
                ~storm ~seeds ~seed0 ~max_steps level;
            run =
              (fun ~deadline ~attempt ->
-               let seed0 = seed0 + (attempt * Campaign.reseed_stride) in
-               if batch <= 1 then begin
-                 let measure = sc.fresh () in
-                 Array.init seeds (fun j ->
-                     if deadline () then raise Campaign.Deadline_exceeded;
-                     measure ~rates:level ~budget ~storm ~seed:(seed0 + j)
-                       ~max_steps)
-               end
-               else begin
-                 let bf = sc.fresh_batch () in
-                 let out =
-                   Array.make seeds { degraded_steps = 0; recovery = None }
-                 in
-                 let lo = ref 0 in
-                 while !lo < seeds do
-                   if deadline () then raise Campaign.Deadline_exceeded;
-                   let hi = min seeds (!lo + batch) in
-                   let len = hi - !lo in
-                   let block =
+               Campaign.seed_block ~seeds ~seed0 ~batch ~deadline ~attempt
+                 ~fresh:(fun () ->
+                   let measure = sc.fresh () in
+                   fun seed ->
+                     measure ~rates:level ~budget ~storm ~seed ~max_steps)
+                 ~fresh_batch:(fun () ->
+                   let bf = sc.fresh_batch () in
+                   fun seeds ->
                      bf
-                       ~rates:(Array.make len level)
-                       ~budget ~storm
-                       ~seeds:(Array.init len (fun t -> seed0 + !lo + t))
-                       ~max_steps
-                   in
-                   Array.blit block 0 out !lo len;
-                   lo := hi
-                 done;
-                 out
-               end);
+                       ~rates:(Array.make (Array.length seeds) level)
+                       ~budget ~storm ~seeds ~max_steps));
          })
        levels)
 
 (* A [None] row (timed-out or errored cell) degrades to zero recoveries
    and zero degradation, keeping the merged campaign's shape. *)
 let stats_of_row ~seeds ~storm level row =
-  let times = ref [] and recovered = ref 0 and degr = ref 0 in
-  (match row with
-  | None -> ()
-  | Some results ->
-      for j = seeds - 1 downto 0 do
-        let r = results.(j) in
-        degr := !degr + r.degraded_steps;
-        match r.recovery with
-        | Some t ->
-            incr recovered;
-            times := t :: !times
-        | None -> ()
-      done);
-  let arr = Array.of_list !times in
-  Array.sort compare arr;
-  let cnt = Array.length arr in
-  let mean =
-    if cnt = 0 then 0. else float (Array.fold_left ( + ) 0 arr) /. float cnt
-  in
+  let results = Option.value row ~default:[||] in
+  let s = Campaign.summary (Array.map (fun r -> r.recovery) results) in
+  let degr = Array.fold_left (fun acc r -> acc + r.degraded_steps) 0 results in
   {
     level;
     runs = seeds;
-    recovered = !recovered;
-    mean_recovery = mean;
-    p50 = percentile arr 0.5;
-    p95 = percentile arr 0.95;
-    worst = (if cnt = 0 then 0 else arr.(cnt - 1));
-    mean_degraded = float !degr /. float (seeds * max 1 storm);
+    recovered = s.recovered;
+    mean_recovery = s.mean;
+    p50 = s.p50;
+    p95 = s.p95;
+    worst = s.worst;
+    mean_degraded = float degr /. float (seeds * max 1 storm);
   }
 
 let run_matrix ?(levels = default_levels) ?(seeds = 20) ?(storm = 400)

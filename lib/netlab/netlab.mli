@@ -23,11 +23,13 @@
     fault-free {!Stateless_core.Engine} and {!Stateless_core.Kernel}
     runs — the differential tests in [test_netlab.ml] pin this down.
 
-    {!Packed} and {!Boxed} implement the same step semantics over the
-    packed and boxed representations, drawing identical decision
-    sequences from the same seed: they are differential twins at every
-    budget. The campaign layer at the bottom sweeps fault-rate levels
-    over {!Stateless_core.Parrun} and reports recovery-time and
+    The adversary is written once, over int label codes, and reacts
+    through a reaction engine: {!Packed} steps with
+    {!Stateless_core.Kernel}, {!Reference} with the boxed
+    {!Stateless_core.Engine}. One seed yields the same storm on both, so
+    comparing them checks the kernel under faults at every budget. The
+    campaign layer at the bottom sweeps fault-rate levels over
+    {!Stateless_core.Parrun} and reports recovery-time and
     output-degradation curves, mirroring [Faultlab]. *)
 
 (** {1 Fault rates and adversary budget} *)
@@ -63,13 +65,14 @@ val check_budget : budget -> unit
 
 (** {1 Channel-aware steppers}
 
-    One channel step, in both steppers, is:
+    One channel step is:
 
     + budget recharge at window boundaries;
     + silent nodes count down; a node whose silence expires wakes with
       adversarially relabeled out-edges;
     + the scheduled non-silent nodes take a fault-free protocol step
-      against the visible configuration;
+      against the visible configuration (the reaction engine's
+      [step_into]);
     + each label-changing write of this step is, budget permitting, lost
       or delayed into the edge's FIFO;
     + queued writes whose due step arrived are delivered in enqueue
@@ -77,23 +80,21 @@ val check_budget : budget -> unit
     + budget permitting, one duplication (stale reread) and one crash may
       fire.
 
-    Decisions are drawn in this fixed order, so the packed and boxed
-    steppers consume identical randomness from identical seeds. *)
+    Decisions are drawn in this fixed order from the seeded RNG. An
+    instance carries mutable scratch and is not domain-safe. *)
 
-(** Channel stepper over the packed {!Stateless_core.Kernel}. Like the
-    kernel itself, an instance carries mutable scratch and is not
-    domain-safe. *)
-module Packed : sig
+(** The channel stepper over the reaction engine [R], which it calls
+    once per step. *)
+module Make (R : Stateless_core.Engine.REACTION) : sig
   type ('x, 'l) t
 
-  (** [create p ~input ~rates ~budget ~schedule ~seed ~init] builds a
-      channel run starting from configuration [init]. [?kernel] reuses an
-      existing kernel (tables already built) — the channel does not
-      mutate kernel state beyond its memo caches. *)
+  (** [create reaction p ~rates ~budget ~schedule ~seed ~init] builds a
+      channel run starting from configuration [init]. [reaction] is
+      built for [p] and may be shared by successive runs; the channel
+      does not mutate it beyond its caches. *)
   val create :
-    ?kernel:('x, 'l) Stateless_core.Kernel.t ->
+    ('x, 'l) R.t ->
     ('x, 'l) Stateless_core.Protocol.t ->
-    input:'x array ->
     rates:rates ->
     budget:budget ->
     schedule:Stateless_core.Schedule.t ->
@@ -122,29 +123,12 @@ module Packed : sig
   val flush : ('x, 'l) t -> unit
 end
 
-(** Channel stepper over boxed configurations and
-    {!Stateless_core.Engine.step_into} — the differential twin of
-    {!Packed}. *)
-module Boxed : sig
-  type ('x, 'l) t
+(** The channel stepper over the packed {!Stateless_core.Kernel}. *)
+module Packed : module type of Make (Stateless_core.Kernel)
 
-  val create :
-    ('x, 'l) Stateless_core.Protocol.t ->
-    input:'x array ->
-    rates:rates ->
-    budget:budget ->
-    schedule:Stateless_core.Schedule.t ->
-    seed:int ->
-    init:'l Stateless_core.Protocol.config ->
-    ('x, 'l) t
-
-  val step : ('x, 'l) t -> unit
-  val run : ('x, 'l) t -> steps:int -> unit
-  val steps_done : ('x, 'l) t -> int
-  val faults_injected : ('x, 'l) t -> int
-  val config : ('x, 'l) t -> 'l Stateless_core.Protocol.config
-  val flush : ('x, 'l) t -> unit
-end
+(** The same stepper over {!Stateless_core.Engine.Coded}, the boxed
+    engine's reaction: the reference {!Packed} is checked against. *)
+module Reference : module type of Make (Stateless_core.Engine.Coded)
 
 (** {1 Degradation / recovery campaigns} *)
 
@@ -239,10 +223,10 @@ val codec : run_result array Stateless_campaign.Campaign.codec
 
 (** [cells ~budget scenario] compiles the level sweep into matrix
     cells — one per rate level, key ["netlab/<scenario>/l<i>"], covering
-    the level's whole seed block. Deadlines are polled between seeds (or
-    lock-step blocks when [batch > 1]); retries reseed by
-    [attempt * Campaign.reseed_stride]. Config strings exclude [domains]
-    and [batch] (results are identical across both). *)
+    the level's whole seed block, run by
+    {!Stateless_campaign.Campaign.seed_block} (deadline polls between
+    seeds or lock-step blocks, reseeded retries). Config strings
+    exclude [domains] and [batch] (results are identical across both). *)
 val cells :
   ?levels:rates list ->
   ?seeds:int ->

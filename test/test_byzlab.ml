@@ -6,8 +6,9 @@
    - with B = {} the Byzantine steppers are bit-identical to the
      fault-free Engine and Kernel on randomized protocols x schedules
      (no RNG draw, no write ever happens);
-   - the boxed and packed steppers are differential twins for every
-     strategy (same seed, same run, same write count);
+   - one Byzantine stepper, run through the boxed Engine's reaction and
+     through the Kernel's, gives the same run for every strategy (same
+     seed, same configurations, same write count);
    - Byzcheck with B = {} agrees with the plain exhaustive checker on
      the standard small instances — same verdicts, same states-graph
      size — because the state space is not augmented at all;
@@ -17,6 +18,7 @@
 
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
+module Kernel = Stateless_core.Kernel
 module Schedule = Stateless_core.Schedule
 module Parrun = Stateless_core.Parrun
 module Clique_example = Stateless_core.Clique_example
@@ -62,8 +64,8 @@ let test_empty_byz_packed_matches_kernel () =
         List.iter
           (fun strategy ->
             let ch =
-              Byzlab.Packed.create p ~input ~byz:[] ~strategy ~schedule ~seed
-                ~init
+              Byzlab.Packed.create (Kernel.create p ~input) p ~byz:[]
+                ~strategy ~schedule ~seed ~init
             in
             Byzlab.Packed.run ch ~steps;
             check_bool
@@ -86,21 +88,21 @@ let test_empty_byz_boxed_matches_engine () =
         let steps = 40 in
         let expect = Engine.run p ~input ~init ~schedule ~steps in
         let ch =
-          Byzlab.Boxed.create p ~input ~byz:[]
+          Byzlab.Reference.create (Engine.Coded.create p ~input) p ~byz:[]
             ~strategy:Byzlab.Seeded_random ~schedule ~seed ~init
         in
-        Byzlab.Boxed.run ch ~steps;
+        Byzlab.Reference.run ch ~steps;
         check_bool
           (Printf.sprintf "seed %d %s: B={} boxed = engine" seed
              schedule.Schedule.name)
           true
-          (config_eq p expect (Byzlab.Boxed.config ch));
-        check "no write at B={}" 0 (Byzlab.Boxed.writes_done ch))
+          (config_eq p expect (Byzlab.Reference.config ch));
+        check "no write at B={}" 0 (Byzlab.Reference.writes_done ch))
       (schedules_for seed n)
   done
 
 (* ------------------------------------------------------------------ *)
-(* Boxed and packed steppers are differential twins                    *)
+(* Engine and Kernel reactions agree under one Byzantine stepper       *)
 (* ------------------------------------------------------------------ *)
 
 let test_steppers_are_twins () =
@@ -115,22 +117,23 @@ let test_steppers_are_twins () =
           (fun schedule ->
             let steps = 40 in
             let b =
-              Byzlab.Boxed.create p ~input ~byz ~strategy ~schedule ~seed
-                ~init
+              Byzlab.Reference.create (Engine.Coded.create p ~input) p ~byz
+                ~strategy ~schedule ~seed ~init
             in
             let k =
-              Byzlab.Packed.create p ~input ~byz ~strategy ~schedule ~seed
-                ~init
+              Byzlab.Packed.create (Kernel.create p ~input) p ~byz ~strategy
+                ~schedule ~seed ~init
             in
-            Byzlab.Boxed.run b ~steps;
+            Byzlab.Reference.run b ~steps;
             Byzlab.Packed.run k ~steps;
             check_bool
               (Printf.sprintf "seed %d %s %s: twin configs" seed
                  (Byzlab.strategy_name strategy)
                  schedule.Schedule.name)
               true
-              (config_eq p (Byzlab.Boxed.config b) (Byzlab.Packed.config k));
-            check "twin write counts" (Byzlab.Boxed.writes_done b)
+              (config_eq p (Byzlab.Reference.config b)
+                 (Byzlab.Packed.config k));
+            check "twin write counts" (Byzlab.Reference.writes_done b)
               (Byzlab.Packed.writes_done k))
           (schedules_for seed n))
       [ Byzlab.Seeded_random; Byzlab.Anti_majority ]
@@ -141,7 +144,8 @@ let test_byzantine_nodes_do_write () =
   let n = Protocol.num_nodes p in
   let init = random_config p st in
   let ch =
-    Byzlab.Packed.create p ~input ~byz:[ 0 ] ~strategy:Byzlab.Seeded_random
+    Byzlab.Packed.create (Kernel.create p ~input) p ~byz:[ 0 ]
+      ~strategy:Byzlab.Seeded_random
       ~schedule:(Schedule.synchronous n) ~seed:1 ~init
   in
   Byzlab.Packed.run ch ~steps:10;
@@ -223,19 +227,21 @@ let test_byz_flips_verdict () =
         List.length w.Byzcheck.prefix + (2 * List.length w.Byzcheck.cycle)
       in
       let b =
-        Byzlab.Boxed.create p ~input ~byz:[ 0 ]
+        Byzlab.Reference.create (Engine.Coded.create p ~input) p ~byz:[ 0 ]
           ~strategy:(Byzlab.Replay w)
           ~schedule:(Schedule.synchronous 3) ~seed:1 ~init
       in
       let k =
-        Byzlab.Packed.create p ~input ~byz:[ 0 ]
+        Byzlab.Packed.create (Kernel.create p ~input) p ~byz:[ 0 ]
           ~strategy:(Byzlab.Replay w)
           ~schedule:(Schedule.synchronous 3) ~seed:1 ~init
       in
-      Byzlab.Boxed.run b ~steps;
+      Byzlab.Reference.run b ~steps;
       Byzlab.Packed.run k ~steps;
       check_bool "replay strategy twins" true
-        (config_eq p (Byzlab.Boxed.config b) (Byzlab.Packed.config k))
+        (config_eq p (Byzlab.Reference.config b) (Byzlab.Packed.config k));
+      check "replay write counts" (Byzlab.Reference.writes_done b)
+        (Byzlab.Packed.writes_done k)
   | Byzcheck.Stabilizing ->
       Alcotest.fail "one Byzantine node must un-stabilize K3"
   | Byzcheck.Too_large { needed } ->
@@ -316,7 +322,7 @@ let test_validation () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
   match
-    Byzlab.Packed.create p ~input ~byz:[ -1 ]
+    Byzlab.Packed.create (Kernel.create p ~input) p ~byz:[ -1 ]
       ~strategy:Byzlab.Seeded_random ~schedule:(Schedule.synchronous 3)
       ~seed:1
       ~init:(Protocol.decode_config p 0)

@@ -7,6 +7,8 @@
 module Campaign = Stateless_campaign.Campaign
 module Value = Stateless_campaign.Value
 module Faultlab = Stateless_faultlab.Faultlab
+module Netlab = Stateless_netlab.Netlab
+module Byzlab = Stateless_byzlab.Byzlab
 module Simlab = Stateless_simlab.Simlab
 module Eventsim = Stateless_core.Eventsim
 
@@ -130,6 +132,153 @@ let test_value_oversized_numbers_rejected () =
         "extreme value round-trips" true
         (Value.parse (Value.to_string v) = Some v))
     [ Value.Int max_int; Value.Int min_int; Value.Float 1.7976931348623157e308 ]
+
+(* ------------------------------------------------------------------ *)
+(* The shared seed-block runner and recovery summary                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A seed block over a synthetic measurement, recording every deadline
+   poll, every fresh context and every block size. *)
+let traced_block ?(deadline = fun _ -> false) ~seeds ~seed0 ~batch ~attempt ()
+    =
+  let polls = ref 0 and freshes = ref 0 and blocks = ref [] in
+  let measure seed = (seed * 31) + 7 in
+  let out =
+    Campaign.seed_block ~seeds ~seed0 ~batch ~attempt
+      ~deadline:(fun () ->
+        incr polls;
+        deadline !polls)
+      ~fresh:(fun () ->
+        incr freshes;
+        measure)
+      ~fresh_batch:(fun () ->
+        incr freshes;
+        fun block ->
+          blocks := Array.length block :: !blocks;
+          Array.map measure block)
+  in
+  (out, !polls, !freshes, List.rev !blocks)
+
+let test_seed_block_polls () =
+  (* Chaos clock decisions are indexed by how often the deadline is
+     read, so the poll count is part of storm replay. *)
+  List.iter
+    (fun (seeds, batch, polls, blocks) ->
+      let _, p, f, b = traced_block ~seeds ~seed0:1 ~batch ~attempt:0 () in
+      let what = Printf.sprintf "seeds %d batch %d" seeds batch in
+      Alcotest.(check int) (what ^ ": polls") polls p;
+      Alcotest.(check int) (what ^ ": one fresh context") 1 f;
+      Alcotest.(check (list int)) (what ^ ": block sizes") blocks b)
+    [
+      (7, 1, 7, []);
+      (7, 0, 7, []);
+      (7, 3, 3, [ 3; 3; 1 ]);
+      (7, 7, 1, [ 7 ]);
+      (7, 16, 1, [ 7 ]);
+      (0, 1, 0, []);
+      (0, 3, 0, []);
+    ]
+
+let test_seed_block_deadline_stops () =
+  (* The second poll expires: one seed (or one block) was measured. *)
+  List.iter
+    (fun batch ->
+      match
+        traced_block ~deadline:(fun n -> n >= 2) ~seeds:7 ~seed0:1 ~batch
+          ~attempt:0 ()
+      with
+      | _ -> Alcotest.fail "expected Deadline_exceeded"
+      | exception Campaign.Deadline_exceeded -> ())
+    [ 1; 3 ]
+
+let test_seed_block_batched_equals_per_seed () =
+  let per_seed, _, _, _ =
+    traced_block ~seeds:7 ~seed0:5 ~batch:1 ~attempt:0 ()
+  in
+  let batched, _, _, _ =
+    traced_block ~seeds:7 ~seed0:5 ~batch:3 ~attempt:0 ()
+  in
+  Alcotest.(check (array int))
+    "synthetic" (Array.init 7 (fun j -> ((5 + j) * 31) + 7)) per_seed;
+  Alcotest.(check (array int)) "synthetic batch 3" per_seed batched;
+  (* The same on real lab cells, whose batched contexts share a kernel
+     and lock-step their recovery phase. *)
+  let row cells =
+    (cells.(1) : _ Campaign.cell).run ~deadline:(fun () -> false) ~attempt:0
+  in
+  let budget = { Netlab.k = 3; window = 8 } in
+  let net batch =
+    row
+      (Netlab.cells ~seeds:7 ~storm:40 ~batch ~budget
+         (Netlab.d_counter ()))
+  in
+  Alcotest.(check bool) "netlab batch 3" true (net 1 = net 3);
+  let byz batch =
+    row
+      (Byzlab.cells ~seeds:7 ~attack:40 ~batch ~strategy:Byzlab.Seeded_random
+         (Byzlab.example1 ()))
+  in
+  Alcotest.(check bool) "byzlab batch 3" true (byz 1 = byz 3);
+  let faults batch =
+    row (Faultlab.cells ~seeds:7 ~batch (Faultlab.d_counter ()))
+  in
+  Alcotest.(check bool) "faultlab batch 3" true (faults 1 = faults 3)
+
+let test_seed_block_reseeds () =
+  List.iter
+    (fun batch ->
+      let out, _, _, _ = traced_block ~seeds:3 ~seed0:5 ~batch ~attempt:1 () in
+      let first = 5 + Campaign.reseed_stride in
+      Alcotest.(check (array int))
+        (Printf.sprintf "attempt 1, batch %d" batch)
+        (Array.init 3 (fun j -> ((first + j) * 31) + 7))
+        out)
+    [ 1; 2 ]
+
+(* The nearest-rank formula every lab used before the shared summary. *)
+let old_percentile sorted q =
+  let k = Array.length sorted in
+  if k = 0 then 0
+  else
+    let rank = int_of_float (ceil (q *. float k)) - 1 in
+    sorted.(max 0 (min (k - 1) rank))
+
+let test_summary () =
+  let zero =
+    { Campaign.recovered = 0; mean = 0.; p50 = 0; p95 = 0; worst = 0 }
+  in
+  Alcotest.(check bool) "empty row" true (Campaign.summary [||] = zero);
+  Alcotest.(check bool)
+    "no recovery" true
+    (Campaign.summary [| None; None |] = zero);
+  Alcotest.(check bool)
+    "singleton" true
+    (Campaign.summary [| Some 5 |]
+    = { Campaign.recovered = 1; mean = 5.; p50 = 5; p95 = 5; worst = 5 });
+  (* Twenty recovery times, unsorted, with misses interleaved. *)
+  let times = List.init 20 (fun i -> (i * 37) mod 23) in
+  let row =
+    Array.of_list (List.concat_map (fun t -> [ Some t; None ]) times)
+  in
+  let sorted = Array.of_list (List.sort compare times) in
+  let s = Campaign.summary row in
+  Alcotest.(check int) "recovered" 20 s.Campaign.recovered;
+  Alcotest.(check (float 0.)) "mean"
+    (float (List.fold_left ( + ) 0 times) /. 20.) s.Campaign.mean;
+  Alcotest.(check int) "p50" (old_percentile sorted 0.5) s.Campaign.p50;
+  Alcotest.(check int) "p95" (old_percentile sorted 0.95) s.Campaign.p95;
+  Alcotest.(check int) "worst" sorted.(19) s.Campaign.worst;
+  let one = Campaign.summary [| Some 5 |] in
+  Alcotest.(check int) "singleton p50" (old_percentile [| 5 |] 0.5) one.p50;
+  Alcotest.(check int) "singleton p95" (old_percentile [| 5 |] 0.95) one.p95;
+  (* Seven times: q * k is fractional, so the rank's rounding shows. *)
+  let seven = [| 9; 2; 7; 4; 1; 8; 3 |] in
+  let s = Campaign.summary (Array.map Option.some seven) in
+  let sorted = Array.copy seven in
+  Array.sort compare sorted;
+  Alcotest.(check int) "seven p50" (old_percentile sorted 0.5) s.Campaign.p50;
+  Alcotest.(check int) "seven p50 is the 4th" 4 s.Campaign.p50;
+  Alcotest.(check int) "seven p95" (old_percentile sorted 0.95) s.Campaign.p95
 
 (* ------------------------------------------------------------------ *)
 (* Robustness policy                                                   *)
@@ -427,6 +576,18 @@ let () =
           Alcotest.test_case "deep nesting" `Quick test_value_deep_nesting;
           Alcotest.test_case "oversized numbers rejected" `Quick
             test_value_oversized_numbers_rejected;
+        ] );
+      ( "seed block",
+        [
+          Alcotest.test_case "one poll per seed or block" `Quick
+            test_seed_block_polls;
+          Alcotest.test_case "expired deadline stops the block" `Quick
+            test_seed_block_deadline_stops;
+          Alcotest.test_case "batched equals per seed" `Quick
+            test_seed_block_batched_equals_per_seed;
+          Alcotest.test_case "retry reseeds the block" `Quick
+            test_seed_block_reseeds;
+          Alcotest.test_case "recovery summary" `Quick test_summary;
         ] );
       ( "policy",
         [

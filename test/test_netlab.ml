@@ -4,8 +4,9 @@
    The load-bearing contracts:
    - with a zero fault budget the channel steppers are bit-identical to
      the fault-free Engine and Kernel on randomized protocols x schedules;
-   - the boxed and packed channel steppers are differential twins at
-     every budget (same seed, same run);
+   - one channel adversary, stepped through the boxed Engine's reaction
+     and through the Kernel's, gives the same run at every budget (same
+     seed, same faults);
    - Netcheck at k = 0 agrees with the plain exhaustive checker on the
      standard small instances, and its oscillation witnesses replay on
      the boxed engine;
@@ -68,7 +69,8 @@ let test_zero_budget_packed_matches_kernel () =
         let steps = 40 in
         let expect = Engine.run p ~input ~init ~schedule ~steps in
         let ch =
-          Netlab.Packed.create p ~input ~rates:idle_rates ~budget:zero_budget
+          Netlab.Packed.create (Kernel.create p ~input) p ~rates:idle_rates
+            ~budget:zero_budget
             ~schedule ~seed ~init
         in
         Netlab.Packed.run ch ~steps;
@@ -92,22 +94,23 @@ let test_zero_budget_boxed_matches_engine () =
         let steps = 40 in
         let expect = Engine.run p ~input ~init ~schedule ~steps in
         let ch =
-          Netlab.Boxed.create p ~input ~rates:idle_rates ~budget:zero_budget
+          Netlab.Reference.create (Engine.Coded.create p ~input) p
+            ~rates:idle_rates ~budget:zero_budget
             ~schedule ~seed ~init
         in
-        Netlab.Boxed.run ch ~steps;
+        Netlab.Reference.run ch ~steps;
         check
           (Printf.sprintf "no faults injected (seed %d)" seed)
           0
-          (Netlab.Boxed.faults_injected ch);
-        if not (config_eq p expect (Netlab.Boxed.config ch)) then
+          (Netlab.Reference.faults_injected ch);
+        if not (config_eq p expect (Netlab.Reference.config ch)) then
           Alcotest.failf "boxed channel diverged (seed %d, %s)" seed
             schedule.Schedule.name)
       (schedules_for seed n)
   done
 
 (* ------------------------------------------------------------------ *)
-(* Boxed and packed channels are twins at every budget                 *)
+(* Engine and Kernel reactions agree under one adversary, any budget   *)
 (* ------------------------------------------------------------------ *)
 
 let stormy_rates =
@@ -123,21 +126,23 @@ let test_boxed_packed_twins_under_faults () =
     List.iter
       (fun schedule ->
         let packed =
-          Netlab.Packed.create p ~input ~rates:stormy_rates ~budget ~schedule
+          Netlab.Packed.create (Kernel.create p ~input) p ~rates:stormy_rates
+            ~budget ~schedule
             ~seed:(seed + 100) ~init
         in
         let boxed =
-          Netlab.Boxed.create p ~input ~rates:stormy_rates ~budget ~schedule
+          Netlab.Reference.create (Engine.Coded.create p ~input) p
+            ~rates:stormy_rates ~budget ~schedule
             ~seed:(seed + 100) ~init
         in
         for s = 1 to 50 do
           Netlab.Packed.step packed;
-          Netlab.Boxed.step boxed;
+          Netlab.Reference.step boxed;
           if
             not
               (config_eq p
                  (Netlab.Packed.config packed)
-                 (Netlab.Boxed.config boxed))
+                 (Netlab.Reference.config boxed))
           then
             Alcotest.failf "twins diverged at step %d (seed %d, %s)" s seed
               schedule.Schedule.name
@@ -145,7 +150,7 @@ let test_boxed_packed_twins_under_faults () =
         check
           (Printf.sprintf "same fault count (seed %d)" seed)
           (Netlab.Packed.faults_injected packed)
-          (Netlab.Boxed.faults_injected boxed))
+          (Netlab.Reference.faults_injected boxed))
       (schedules_for seed n)
   done
 
@@ -154,7 +159,8 @@ let test_budget_caps_injected_faults () =
   let init = random_config p st in
   let budget = { Netlab.k = 2; window = 10 } in
   let ch =
-    Netlab.Packed.create p ~input ~rates:stormy_rates ~budget
+    Netlab.Packed.create (Kernel.create p ~input) p ~rates:stormy_rates
+      ~budget
       ~schedule:(Schedule.synchronous (Protocol.num_nodes p))
       ~seed:9 ~init
   in
