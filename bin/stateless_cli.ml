@@ -55,6 +55,15 @@ module Fooling = Stateless_lowerbound.Fooling
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let pos_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k > 0 -> Ok k
+    | Some k -> Error (`Msg (Printf.sprintf "%d is not a positive integer" k))
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let nodes_arg =
   let doc = "Number of nodes." in
   Arg.(value & opt int 4 & info [ "n"; "nodes" ] ~doc)
@@ -184,7 +193,7 @@ let simulate_cmd =
 let check_cmd =
   let r_arg =
     let doc = "Fairness parameter r." in
-    Arg.(value & opt int 2 & info [ "r" ] ~doc)
+    Arg.(value & opt pos_int_conv 2 & info [ "r" ] ~doc)
   in
   let budget_arg =
     let doc = "Maximum number of states to explore." in
@@ -469,15 +478,6 @@ let fraction_conv =
     | None -> Error (`Msg (Printf.sprintf "invalid fraction %S" s))
   in
   Arg.conv ~docv:"FRACTION" (parse, Format.pp_print_float)
-
-let pos_int_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some k when k > 0 -> Ok k
-    | Some k -> Error (`Msg (Printf.sprintf "%d is not a positive integer" k))
-    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let nonneg_int_conv =
   let parse s =

@@ -11,9 +11,9 @@
    outputs) still stabilize under every Byzantine behavior and every
    r-fair schedule.
 
+   The Byzantine nodes are an adversary inside the transition relation.
    The states-graph is exactly the plain checker's — a state is
-   (labeling, fairness countdown), keyed [lab * cd_count + cd] — but the
-   transition relation branches: an activation set that includes
+   (labeling, fairness countdown) — but an activation set that includes
    Byzantine nodes yields one out-edge per assignment of labels to the
    activated Byzantine nodes' out-edges (all of Σ per edge). Correct
    nodes in the set react through the transition cache as usual;
@@ -26,13 +26,15 @@
    collected at correct nodes. With B = ∅ no branching happens, every
    mask keeps its single out-edge and the graph is literally the plain
    checker's states-graph, so verdicts agree by construction (the
-   differential tests assert this on the standard small instances).
+   differential tests and the fuzzer assert this).
 
-   Witnesses extend the checker's lassos with the Byzantine choices: a
+   This module only defines that adversary, decodes its choice codes
+   into writes and computes {!containment}; exploration, SCCs, lassos,
+   the output-conflict scan and witness replay (on the boxed engine and
+   on the packed kernel) are the shared back end
+   ({!Stateless_checker.Stategraph}) of all three certifiers. A witness
    step is an activation set plus the (edge, code) writes the Byzantine
-   nodes perform after the correct nodes' reactions land. {!replay}
-   re-verifies a witness on the boxed engine and {!replay_packed} on the
-   packed kernel.
+   nodes perform after the correct nodes' reactions land.
 
    Beyond the global verdict, {!containment} reports each correct
    node's fate separately and keys it by graph distance from B: the
@@ -40,12 +42,8 @@
    node can still be made to output-diverge. *)
 
 module Protocol = Stateless_core.Protocol
-module Engine = Stateless_core.Engine
-module Kernel = Stateless_core.Kernel
 module Label = Stateless_core.Label
-module Vec = Stateless_checker.Vec
-module Csr = Stateless_checker.Csr
-module Trans_cache = Stateless_checker.Trans_cache
+module Stategraph = Stateless_checker.Stategraph
 module Digraph = Stateless_graph.Digraph
 module Algorithms = Stateless_graph.Algorithms
 
@@ -68,28 +66,6 @@ type stats = { states : int; edges : int }
 let last_stats_ref : stats option ref = ref None
 let last_stats () = !last_stats_ref
 
-let ipow base e =
-  let rec loop acc e = if e = 0 then acc else loop (acc * base) (e - 1) in
-  loop 1 e
-
-let nodes_of_mask n mask =
-  let rec loop i acc =
-    if i < 0 then acc
-    else if mask land (1 lsl i) <> 0 then loop (i - 1) (i :: acc)
-    else loop (i - 1) acc
-  in
-  loop (n - 1) []
-
-(* Saturating arithmetic for the size estimate reported by Too_large. *)
-let mul_sat a b =
-  if a = 0 || b = 0 then 0
-  else if a > max_int / b then max_int
-  else a * b
-
-let ipow_sat base e =
-  let rec loop acc e = if e = 0 then acc else loop (mul_sat acc base) (e - 1) in
-  loop 1 e
-
 let byz_mask_of n byz =
   let mask = ref 0 in
   List.iter
@@ -102,44 +78,11 @@ let byz_mask_of n byz =
     byz;
   !mask
 
-(* The explored states-graph. State id -> key [lab * cd_count + cd] —
-   exactly the plain checker's key space, whatever B is. Edge cells live
-   in the CSR; [echoice] runs in lockstep with the CSR's flat cell buffer
-   (one push per edge) and holds the Byzantine assignment taken on that
-   edge — a mixed-radix code over the activated Byzantine nodes'
-   out-edges (ascending node order, each node's out-edge order, first
-   edge most significant) — or -1 when no Byzantine node was activated. *)
-type ('x, 'l) explored = {
-  n : int;
-  m : int;
-  card : int;
-  r : int;
-  byz : int list;
-  byz_mask : int;
-  lab_count : int;
-  cd_count : int;  (* r^n *)
-  keys : int Vec.t;
-  csr : Csr.t;
-  echoice : int Vec.t;
-  parent : int Vec.t;
-  parent_mask : int Vec.t;
-  parent_choice : int Vec.t;
-  cache : ('x, 'l) Trans_cache.t;
-  weight : int array;  (* weight.(e) = card^(m-1-e): edge 0 most significant *)
-  out_edges : int array array;
-}
-
-(* Concatenated out-edges of the Byzantine nodes in [bz] (a submask of
-   byz_mask), ascending node order. *)
-let byz_edges_of ex bz =
-  let acc = ref [] in
-  for i = ex.n - 1 downto 0 do
-    if bz land (1 lsl i) <> 0 then
-      for j = Array.length ex.out_edges.(i) - 1 downto 0 do
-        acc := ex.out_edges.(i).(j) :: !acc
-      done
-  done;
-  Array.of_list !acc
+(* Concatenated out-edges of the Byzantine nodes in [bz], ascending node
+   order. *)
+let byz_edges_of out_edges bz =
+  Array.concat
+    (List.filteri (fun i _ -> bz land (1 lsl i) <> 0) (Array.to_list out_edges))
 
 (* Decode assignment code [a] over edge list [edges] (first edge most
    significant) into (edge, code) writes. *)
@@ -153,432 +96,114 @@ let writes_of_choice ~card edges a =
   done;
   !out
 
+type ('x, 'l) explored = {
+  g : Stategraph.t;
+  cache : ('x, 'l) Stateless_checker.Trans_cache.t;
+  witness_of : Stategraph.lasso -> witness;
+}
+
+(* The adversary has no state of its own (the graph keeps the plain
+   checker's keys, [lab * cd_count + cd], whatever B is) and only the
+   correct nodes react. An activation set that includes Byzantine nodes
+   branches over every assignment of labels to their out-edges: the edge
+   choice code is a mixed-radix code over the activated Byzantine nodes'
+   out-edges (ascending node order, each node's out-edge order, first edge
+   most significant), or -1 when no Byzantine node was activated.
+   Byzantine activations still tick the fairness countdown: a schedule
+   that picks a Byzantine node has given it its turn. *)
 let explore p ~input ~byz ~r ~max_states =
   let n = Protocol.num_nodes p in
-  if n > 20 then invalid_arg "Byzcheck: too many nodes for subset enumeration";
-  if r < 1 then invalid_arg "Byzcheck: r must be >= 1";
+  Stategraph.validate ~who:"Byzcheck" ~n ~r;
   let byz_mask = byz_mask_of n byz in
-  match Protocol.labelings_count p with
-  | None -> Error max_int
-  | Some lab_count ->
-      let m = Protocol.num_edges p in
-      let card = p.Protocol.space.Label.card in
-      let cd_count = ipow r n in
-      let out_edges = Array.init n (Digraph.out_edges p.Protocol.graph) in
-      (* Worst per-activation Byzantine branching factor: all of B active
-         at once. The state space itself never grows with B, but the edge
-         space does, so Too_large budgets states x branching. *)
-      let byz_out =
-        List.fold_left (fun acc i -> acc + Array.length out_edges.(i)) 0 byz
-      in
-      let branch = ipow_sat card byz_out in
-      let total = mul_sat lab_count cd_count in
-      if mul_sat total branch > max_states then
-        Error (mul_sat total branch)
-      else begin
-        let csr = Csr.create ~n ~capacity:(min total 65536) () in
-        if total - 1 > Csr.max_succ csr then
-          invalid_arg "Byzcheck: state space too large for edge packing";
-        let ex =
-          {
-            n;
-            m;
-            card;
-            r;
-            byz = List.sort_uniq compare byz;
-            byz_mask;
-            lab_count;
-            cd_count;
-            keys = Vec.create ~capacity:(min total 65536) ~dummy:0 ();
-            csr;
-            echoice = Vec.create ~capacity:1024 ~dummy:(-1) ();
-            parent = Vec.create ~dummy:(-1) ();
-            parent_mask = Vec.create ~dummy:0 ();
-            parent_choice = Vec.create ~dummy:(-1) ();
-            cache = Trans_cache.create p ~input ~lab_count;
-            weight = Array.init m (fun e -> ipow card (m - 1 - e));
-            out_edges;
-          }
-        in
-        let state_of_key = Array.make total (-1) in
-        let intern key ~parent ~mask ~choice =
-          let id = Array.unsafe_get state_of_key key in
-          if id >= 0 then id
-          else begin
-            let id = Vec.length ex.keys in
-            Array.unsafe_set state_of_key key id;
-            Vec.push ex.keys key;
-            Vec.push ex.parent parent;
-            Vec.push ex.parent_mask mask;
-            Vec.push ex.parent_choice choice;
-            id
-          end
-        in
-        (* Initialization vertices: every labeling, full countdowns. *)
-        for lab = 0 to lab_count - 1 do
-          ignore
-            (intern
-               ((lab * cd_count) + (cd_count - 1))
-               ~parent:(-1) ~mask:0 ~choice:(-1))
-        done;
-        (* Per-submask-of-B edge lists, memoized (2^|B| entries). *)
-        let edges_tbl : (int, int array) Hashtbl.t = Hashtbl.create 16 in
-        let edges_of bz =
-          match Hashtbl.find_opt edges_tbl bz with
-          | Some e -> e
-          | None ->
-              let e = byz_edges_of ex bz in
-              Hashtbl.replace edges_tbl bz e;
-              e
-        in
-        let rpow = Array.init n (fun i -> ipow r (n - 1 - i)) in
-        let sum_rpow = Array.fold_left ( + ) 0 rpow in
-        let add = Array.make n 0 in
-        let pow2n = 1 lsl n in
-        let corr_of = lnot byz_mask in
-        let lo = ref 0 in
-        while !lo < Vec.length ex.keys do
-          let hi = Vec.length ex.keys in
-          for id = !lo to hi - 1 do
-            let key = Vec.unsafe_get ex.keys id in
-            let cd = key mod cd_count in
-            let lab = key / cd_count in
-            let forced = ref 0 in
-            for i = 0 to n - 1 do
-              let d = cd / Array.unsafe_get rpow i mod r in
-              Array.unsafe_set add i ((r - d) * Array.unsafe_get rpow i);
-              if d = 0 then forced := !forced lor (1 lsl i)
-            done;
-            let forced = !forced in
-            let base_cd = cd - sum_rpow in
-            for mask = 1 to pow2n - 1 do
-              if mask land forced = forced then begin
-                (* Correct nodes react; an all-Byzantine activation set is
-                   a pure adversarial step (mask 0 is a no-op for the
-                   transition cache). *)
-                let packed =
-                  Trans_cache.step ex.cache ~lab_code:lab
-                    ~mask:(mask land corr_of)
-                in
-                let lab1 = packed lsr 1 in
-                let changed = packed land 1 in
-                (* The countdown ticks for everybody activated: a schedule
-                   that picks a Byzantine node has given it its turn. *)
-                let cdsum = ref base_cd in
-                for i = 0 to n - 1 do
-                  if mask land (1 lsl i) <> 0 then
-                    cdsum := !cdsum + Array.unsafe_get add i
-                done;
-                let cd' = !cdsum in
-                let bz = mask land byz_mask in
-                if bz = 0 then begin
-                  let succ =
-                    intern
-                      ((lab1 * cd_count) + cd')
-                      ~parent:id ~mask ~choice:(-1)
-                  in
-                  Csr.push_edge ex.csr ~succ ~mask ~changed;
-                  Vec.push ex.echoice (-1)
-                end
-                else begin
-                  (* Branch over every assignment of labels to the
-                     activated Byzantine nodes' out-edges. *)
-                  let edges = edges_of bz in
-                  let l = Array.length edges in
-                  let count = ipow card l in
-                  for a = 0 to count - 1 do
-                    let lab2 = ref lab1 in
-                    let rem = ref a in
-                    for i = l - 1 downto 0 do
-                      let e = Array.unsafe_get edges i in
-                      let c = !rem mod card in
-                      rem := !rem / card;
-                      let w = Array.unsafe_get ex.weight e in
-                      let cur = lab1 / w mod card in
-                      lab2 := !lab2 + ((c - cur) * w)
-                    done;
-                    let succ =
-                      intern
-                        ((!lab2 * cd_count) + cd')
-                        ~parent:id ~mask ~choice:a
-                    in
-                    (* The changed bit tracks only the correct nodes'
-                       step: Byzantine writes are not divergence. *)
-                    Csr.push_edge ex.csr ~succ ~mask ~changed;
-                    Vec.push ex.echoice a
-                  done
-                end
-              end
-            done;
-            Csr.end_row ex.csr
-          done;
-          lo := hi
-        done;
-        last_stats_ref :=
-          Some { states = Vec.length ex.keys; edges = Csr.num_edges ex.csr };
-        Ok ex
-      end
-
-(* Iterative Tarjan over the CSR graph, as in the channel checker. *)
-let scc_of_explored ex =
-  let count = Vec.length ex.keys in
-  let index = Array.make count (-1) in
-  let lowlink = Array.make count 0 in
-  let on_stack = Array.make count false in
-  let comp = Array.make count (-1) in
-  let stack = Stack.create () in
-  let next_index = ref 0 and next_comp = ref 0 in
-  let call = Stack.create () in
-  let csr = ex.csr in
-  for root = 0 to count - 1 do
-    if index.(root) < 0 then begin
-      Stack.push (root, 0) call;
-      index.(root) <- !next_index;
-      lowlink.(root) <- !next_index;
-      incr next_index;
-      Stack.push root stack;
-      on_stack.(root) <- true;
-      while not (Stack.is_empty call) do
-        let v, child = Stack.pop call in
-        if child < Csr.degree csr v then begin
-          Stack.push (v, child + 1) call;
-          let u = Csr.succ csr v child in
-          if index.(u) < 0 then begin
-            index.(u) <- !next_index;
-            lowlink.(u) <- !next_index;
-            incr next_index;
-            Stack.push u stack;
-            on_stack.(u) <- true;
-            Stack.push (u, 0) call
-          end
-          else if on_stack.(u) then lowlink.(v) <- min lowlink.(v) index.(u)
-        end
-        else begin
-          if lowlink.(v) = index.(v) then begin
-            let continue = ref true in
-            while !continue do
-              let u = Stack.pop stack in
-              on_stack.(u) <- false;
-              comp.(u) <- !next_comp;
-              if u = v then continue := false
-            done;
-            incr next_comp
-          end;
-          if not (Stack.is_empty call) then begin
-            let parent, _ = Stack.top call in
-            lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          end
-        end
-      done
-    end
-  done;
-  comp
-
-(* Shortest intra-component path src -> dst as (mask, choice) pairs. *)
-let path_within_scc ex comp ~src ~dst =
-  if src = dst then Some []
-  else begin
-    let count = Vec.length ex.keys in
-    let pred = Array.make count (-1) in
-    let pred_mask = Array.make count 0 in
-    let pred_choice = Array.make count (-1) in
-    let queue = Queue.create () in
-    pred.(src) <- src;
-    Queue.add src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      let base = Csr.row_start ex.csr v in
-      let deg = Csr.degree ex.csr v in
-      let j = ref 0 in
-      while (not !found) && !j < deg do
-        let w = Csr.cell ex.csr (base + !j) in
-        let u = Csr.succ_of_word ex.csr w in
-        if comp.(u) = comp.(src) && pred.(u) < 0 then begin
-          pred.(u) <- v;
-          pred_mask.(u) <- Csr.mask_of_word ex.csr w;
-          pred_choice.(u) <- Vec.get ex.echoice (base + !j);
-          if u = dst then found := true else Queue.add u queue
-        end;
-        incr j
-      done
-    done;
-    if not !found then None
+  let m = Protocol.num_edges p in
+  let card = p.Protocol.space.Label.card in
+  let out_edges = Array.init n (Digraph.out_edges p.Protocol.graph) in
+  (* weight.(e) = card^(m-1-e): edge 0 most significant. *)
+  let weight = Array.init m (fun e -> Stategraph.ipow card (m - 1 - e)) in
+  (* Per-submask-of-B edge lists, memoized (2^|B| entries). *)
+  let edges_tbl : (int, int array) Hashtbl.t = Hashtbl.create 16 in
+  let edges_of bz =
+    match Hashtbl.find_opt edges_tbl bz with
+    | Some e -> e
+    | None ->
+        let e = byz_edges_of out_edges bz in
+        Hashtbl.replace edges_tbl bz e;
+        e
+  in
+  let successors ~mask ~adv:_ ~lab emit =
+    let bz = mask land byz_mask in
+    if bz = 0 then emit lab 0 (-1)
     else begin
-      let rec walk v acc =
-        if v = src then acc
-        else walk pred.(v) ((pred_mask.(v), pred_choice.(v)) :: acc)
+      let edges = edges_of bz in
+      let relabel lab' { edge; code } =
+        let w = weight.(edge) in
+        lab' + ((code - (lab / w mod card)) * w)
       in
-      Some (walk dst [])
+      for a = 0 to Stategraph.ipow card (Array.length edges) - 1 do
+        emit (List.fold_left relabel lab (writes_of_choice ~card edges a)) 0 a
+      done
     end
-  end
-
-let step_of_pair ex (mask, choice) =
-  let writes =
-    if choice < 0 then []
-    else writes_of_choice ~card:ex.card (byz_edges_of ex (mask land ex.byz_mask)) choice
   in
-  { active = nodes_of_mask ex.n mask; writes }
-
-let steps_of ex pairs = List.map (step_of_pair ex) pairs
-
-let path_from_root ex id =
-  let rec walk id acc =
-    if Vec.get ex.parent id < 0 then (id, acc)
-    else
-      walk (Vec.get ex.parent id)
-        ((Vec.get ex.parent_mask id, Vec.get ex.parent_choice id) :: acc)
+  (* Worst branching factor: all of B active at once. The state space
+     never grows with B, but the edge space does, so Too_large budgets
+     states x branching. *)
+  let byz_out =
+    List.fold_left (fun acc i -> acc + Array.length out_edges.(i)) 0 byz
   in
-  let root, pairs = walk id [] in
-  let lab = Vec.get ex.keys root / ex.cd_count in
-  (lab, pairs)
-
-let make_witness ex ~cycle_entry ~cycle_pairs =
-  let init_code, prefix_pairs = path_from_root ex cycle_entry in
-  {
-    init_code;
-    prefix = steps_of ex prefix_pairs;
-    cycle = steps_of ex cycle_pairs;
-  }
+  match
+    Stategraph.explore p ~input ~r ~max_states
+      {
+        Stategraph.phases = 1;
+        init = 0;
+        react = lnot byz_mask;
+        branch = Stategraph.ipow_sat card byz_out;
+        successors;
+      }
+  with
+  | Error needed -> Error needed
+  | Ok (g, cache) ->
+      last_stats_ref :=
+        Some
+          { states = Stategraph.num_states g; edges = Stategraph.num_edges g };
+      let step e =
+        let mask = Stategraph.mask g e and a = Stategraph.choice g e in
+        {
+          active = Stategraph.nodes_of_mask n mask;
+          writes =
+            (if a < 0 then []
+             else writes_of_choice ~card (edges_of (mask land byz_mask)) a);
+        }
+      in
+      let witness_of (l : Stategraph.lasso) =
+        {
+          init_code = l.init_code;
+          prefix = List.map step l.prefix;
+          cycle = List.map step l.cycle;
+        }
+      in
+      Ok { g; cache; witness_of }
 
 let check_label p ~input ~byz ~r ~max_states =
   match explore p ~input ~byz ~r ~max_states with
   | Error needed -> Too_large { needed }
   | Ok ex -> (
-      let comp = scc_of_explored ex in
-      (* A correct-step-changing edge inside an SCC: the correct nodes can
-         be made to change labels infinitely often. *)
-      let found = ref None in
-      let count = Vec.length ex.keys in
-      let id = ref 0 in
-      while !found == None && !id < count do
-        let base = Csr.row_start ex.csr !id in
-        let deg = Csr.degree ex.csr !id in
-        let cid = comp.(!id) in
-        let j = ref 0 in
-        while !found == None && !j < deg do
-          let w = Csr.cell ex.csr (base + !j) in
-          if Csr.changed_of_word w = 1 then begin
-            let u = Csr.succ_of_word ex.csr w in
-            if comp.(u) = cid then
-              found :=
-                Some
-                  ( !id,
-                    u,
-                    (Csr.mask_of_word ex.csr w, Vec.get ex.echoice (base + !j))
-                  )
-          end;
-          incr j
-        done;
-        incr id
-      done;
-      match !found with
+      match Stategraph.label_lasso ex.g (Stategraph.scc ex.g) with
       | None -> Stabilizing
-      | Some (v, u, pair) -> (
-          match path_within_scc ex comp ~src:u ~dst:v with
-          | None -> assert false (* u, v lie in the same SCC *)
-          | Some back ->
-              Oscillating
-                (make_witness ex ~cycle_entry:v ~cycle_pairs:(pair :: back))))
-
-(* One output conflict at a correct node: two intra-SCC transitions where
-   the node reacts and emits distinct outputs. *)
-type conflict = {
-  c_src0 : int;
-  c_pair0 : int * int;
-  c_src1 : int;
-  c_pair1 : int * int;
-  c_dst1 : int;
-}
-
-(* Build the two-conflict lasso cycle src0 -e0-> dst0 ~~> src1 -e1-> dst1
-   ~~> src0, as in the channel checker. *)
-let witness_of_conflict ex comp c =
-  let mask0, choice0 = c.c_pair0 in
-  let dst0 =
-    let base = Csr.row_start ex.csr c.c_src0 in
-    let rec find j =
-      let w = Csr.cell ex.csr (base + j) in
-      if
-        Csr.mask_of_word ex.csr w = mask0
-        && Vec.get ex.echoice (base + j) = choice0
-        && comp.(Csr.succ_of_word ex.csr w) = comp.(c.c_src0)
-      then Csr.succ_of_word ex.csr w
-      else find (j + 1)
-    in
-    find 0
-  in
-  match
-    ( path_within_scc ex comp ~src:dst0 ~dst:c.c_src1,
-      path_within_scc ex comp ~src:c.c_dst1 ~dst:c.c_src0 )
-  with
-  | Some mid, Some back ->
-      let cycle_pairs = ((mask0, choice0) :: mid) @ (c.c_pair1 :: back) in
-      make_witness ex ~cycle_entry:c.c_src0 ~cycle_pairs
-  | _ -> assert false
-
-(* Scan every intra-SCC transition and record, per correct node, the first
-   output conflict found ([stop_at_first] ends the scan at the very first
-   conflict at any node, which is all the global verdict needs). *)
-let conflict_scan ex comp ~stop_at_first =
-  let count = Vec.length ex.keys in
-  let seen : (int * int, int * (int * (int * int))) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let conflicts : (int, conflict) Hashtbl.t = Hashtbl.create 16 in
-  let corr_of = lnot ex.byz_mask in
-  let stop = ref false in
-  let id = ref 0 in
-  while (not !stop) && !id < count do
-    let lab = Vec.unsafe_get ex.keys !id / ex.cd_count in
-    let base = Csr.row_start ex.csr !id in
-    let deg = Csr.degree ex.csr !id in
-    let cid = comp.(!id) in
-    let j = ref 0 in
-    while (not !stop) && !j < deg do
-      let w = Csr.cell ex.csr (base + !j) in
-      let u = Csr.succ_of_word ex.csr w in
-      if comp.(u) = cid then begin
-        let mask = Csr.mask_of_word ex.csr w in
-        let choice = Vec.get ex.echoice (base + !j) in
-        List.iter
-          (fun node ->
-            if not (Hashtbl.mem conflicts node) then begin
-              let y = Trans_cache.output ex.cache ~lab_code:lab ~node in
-              match Hashtbl.find_opt seen (cid, node) with
-              | None ->
-                  Hashtbl.replace seen (cid, node)
-                    (y, (!id, (mask, choice)))
-              | Some (y0, (src0, pair0)) ->
-                  if y0 <> y then begin
-                    Hashtbl.replace conflicts node
-                      {
-                        c_src0 = src0;
-                        c_pair0 = pair0;
-                        c_src1 = !id;
-                        c_pair1 = (mask, choice);
-                        c_dst1 = u;
-                      };
-                    if stop_at_first then stop := true
-                  end
-            end)
-          (nodes_of_mask ex.n (mask land corr_of))
-      end;
-      incr j
-    done;
-    incr id
-  done;
-  conflicts
+      | Some l -> Oscillating (ex.witness_of l))
 
 let check_output p ~input ~byz ~r ~max_states =
   match explore p ~input ~byz ~r ~max_states with
   | Error needed -> Too_large { needed }
   | Ok ex -> (
-      let comp = scc_of_explored ex in
-      let conflicts = conflict_scan ex comp ~stop_at_first:true in
-      match Hashtbl.fold (fun _ c _ -> Some c) conflicts None with
+      let comp = Stategraph.scc ex.g in
+      match
+        Hashtbl.fold (fun _ c _ -> Some c)
+          (Stategraph.output_conflicts ex.g comp ex.cache ~stop_at_first:true)
+          None
+      with
       | None -> Stabilizing
-      | Some c -> Oscillating (witness_of_conflict ex comp c))
+      | Some c ->
+          Oscillating (ex.witness_of (Stategraph.conflict_lasso ex.g comp c)))
 
 (* ------------------------------------------------------------------ *)
 (* Containment                                                         *)
@@ -613,15 +238,18 @@ let containment p ~input ~byz ~r ~max_states =
   match explore p ~input ~byz ~r ~max_states with
   | Error needed -> Error needed
   | Ok ex ->
-      let comp = scc_of_explored ex in
-      let conflicts = conflict_scan ex comp ~stop_at_first:false in
-      let dist = distances_from_byz p.Protocol.graph ex.byz in
+      let comp = Stategraph.scc ex.g in
+      let conflicts =
+        Stategraph.output_conflicts ex.g comp ex.cache ~stop_at_first:false
+      in
+      let byz = List.sort_uniq compare byz in
+      let dist = distances_from_byz p.Protocol.graph byz in
       let fates = ref [] in
       let stable = ref 0 and correct = ref 0 in
       let radius = ref (-1) in
       let worst = ref None in
-      for node = ex.n - 1 downto 0 do
-        if ex.byz_mask land (1 lsl node) = 0 then begin
+      for node = Protocol.num_nodes p - 1 downto 0 do
+        if ex.g.react land (1 lsl node) <> 0 then begin
           incr correct;
           let diverges = Hashtbl.mem conflicts node in
           if diverges then begin
@@ -640,11 +268,14 @@ let containment p ~input ~byz ~r ~max_states =
         match !worst with
         | None -> None
         | Some node ->
-            Some (witness_of_conflict ex comp (Hashtbl.find conflicts node))
+            Some
+              (ex.witness_of
+                 (Stategraph.conflict_lasso ex.g comp
+                    (Hashtbl.find conflicts node)))
       in
       Ok
         {
-          byz = ex.byz;
+          byz;
           fates = !fates;
           stabilized_fraction =
             (if !correct = 0 then 1.0 else float !stable /. float !correct);
@@ -656,106 +287,24 @@ let containment p ~input ~byz ~r ~max_states =
 (* Witness replay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay a witness on the boxed engine: the correct members of the
-   activation set react, then the step's Byzantine writes land. The cycle
-   must return to its starting labeling and the *correct nodes* must
-   either change the labeling inside the cycle or emit two distinct
-   outputs at some node. *)
-let replay p ~input ~byz w =
-  let n = Protocol.num_nodes p in
-  let byz_mask = byz_mask_of n byz in
-  let decode = p.Protocol.space.Label.decode in
-  let correct_of active =
-    List.filter (fun i -> byz_mask land (1 lsl i) = 0) active
+(* Both replays run the correct members of each activation set, then
+   land the step's Byzantine writes; divergence is judged on the correct
+   nodes alone. *)
+let steps_of p ~byz w =
+  let byz_mask = byz_mask_of (Protocol.num_nodes p) byz in
+  let step { active; writes } =
+    {
+      Stategraph.react =
+        List.filter (fun i -> byz_mask land (1 lsl i) = 0) active;
+      writes = List.map (fun { edge; code } -> (edge, code)) writes;
+    }
   in
-  let apply_writes (c : 'l Protocol.config) writes =
-    List.iter
-      (fun { edge; code } -> c.Protocol.labels.(edge) <- decode code)
-      writes
-  in
-  let apply_step config { active; writes } =
-    let next = Engine.step p ~input config ~active:(correct_of active) in
-    apply_writes next writes;
-    next
-  in
-  let init = Protocol.decode_config p w.init_code in
-  let at_cycle = List.fold_left apply_step init w.prefix in
-  let start_key = Protocol.config_key p at_cycle in
-  let label_changed = ref false in
-  let output_changed = ref false in
-  let outputs : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let config = ref at_cycle in
-  List.iter
-    (fun s ->
-      let corr = correct_of s.active in
-      let before = Protocol.config_key p !config in
-      List.iter
-        (fun node ->
-          let _, y = Protocol.apply p ~input !config node in
-          match Hashtbl.find_opt outputs node with
-          | None -> Hashtbl.replace outputs node y
-          | Some y0 -> if y0 <> y then output_changed := true)
-        corr;
-      (* Divergence is judged on the correct nodes' step alone, before
-         the step's Byzantine writes are applied. *)
-      let stepped = Engine.step p ~input !config ~active:corr in
-      if not (String.equal before (Protocol.config_key p stepped)) then
-        label_changed := true;
-      apply_writes stepped s.writes;
-      config := stepped)
-    w.cycle;
-  let returns = String.equal start_key (Protocol.config_key p !config) in
-  returns && (!label_changed || !output_changed)
+  (List.map step w.prefix, List.map step w.cycle)
 
-(* The packed twin: the same judgement through {!Kernel.step_into} on int
-   label codes. *)
+let replay p ~input ~byz w =
+  let prefix, cycle = steps_of p ~byz w in
+  Stategraph.replay p ~input ~init_code:w.init_code ~prefix ~cycle
+
 let replay_packed p ~input ~byz w =
-  let n = Protocol.num_nodes p in
-  let m = Protocol.num_edges p in
-  let byz_mask = byz_mask_of n byz in
-  let correct_of active =
-    List.filter (fun i -> byz_mask land (1 lsl i) = 0) active
-  in
-  let kern = Kernel.create p ~input in
-  let src = Array.make m 0 and dst = Array.make m 0 in
-  let src_o = Array.make n 0 and dst_o = Array.make n 0 in
-  Kernel.load kern (Protocol.decode_config p w.init_code) ~labels:src
-    ~outputs:src_o;
-  let sref = ref src and dref = ref dst in
-  let soref = ref src_o and doref = ref dst_o in
-  let label_changed = ref false in
-  let output_changed = ref false in
-  let outputs : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let do_step ~judge { active; writes } =
-    let corr = correct_of active in
-    Kernel.step_into kern ~src:!sref ~src_outputs:!soref ~dst:!dref
-      ~dst_outputs:!doref ~active:corr;
-    if judge then begin
-      let changed = ref false in
-      for e = 0 to m - 1 do
-        if !dref.(e) <> !sref.(e) then changed := true
-      done;
-      if !changed then label_changed := true;
-      List.iter
-        (fun node ->
-          let y = !doref.(node) in
-          match Hashtbl.find_opt outputs node with
-          | None -> Hashtbl.replace outputs node y
-          | Some y0 -> if y0 <> y then output_changed := true)
-        corr
-    end;
-    List.iter (fun { edge; code } -> !dref.(edge) <- code) writes;
-    let tl = !sref and tlo = !soref in
-    sref := !dref;
-    soref := !doref;
-    dref := tl;
-    doref := tlo
-  in
-  List.iter (do_step ~judge:false) w.prefix;
-  let start = Array.copy !sref in
-  List.iter (do_step ~judge:true) w.cycle;
-  let returns = ref true in
-  for e = 0 to m - 1 do
-    if start.(e) <> !sref.(e) then returns := false
-  done;
-  !returns && (!label_changed || !output_changed)
+  let prefix, cycle = steps_of p ~byz w in
+  Stategraph.replay_packed p ~input ~init_code:w.init_code ~prefix ~cycle

@@ -13,6 +13,8 @@ module Checker = Stateless_checker.Checker
 module Value = Stateless_campaign.Value
 module Netlab = Stateless_netlab.Netlab
 module Byzlab = Stateless_byzlab.Byzlab
+module Netcheck = Stateless_netlab.Netcheck
+module Byzcheck = Stateless_byzlab.Byzcheck
 
 type sched_kind = Sync | Rr | Fair of int
 type mutant = Stale_read | Dropped_write
@@ -188,7 +190,7 @@ let first_diff a b =
    first divergence. The boxed engine is the reference for the core
    group; the channel and Byzantine adversaries each run once over the
    boxed engine's reaction and once over the kernel's; small labeling
-   spaces compare the production checker against the naive oracle. *)
+   spaces compare the three certifiers against the naive oracle. *)
 let check_counted ?mutant (s : scenario) : int * divergence option =
   let p, input, init, schedule = build s in
   let steps = s.steps in
@@ -301,31 +303,94 @@ let check_counted ?mutant (s : scenario) : int * divergence option =
             detail = "byzantine twins diverged";
           }
   end;
-  (* Checker against the naive oracle, gated to small labeling spaces. *)
+  (* The production checker, and each adversarial certifier at the point
+     where its adversary vanishes (budget 0, no Byzantine node), against
+     the naive oracle, gated to small labeling spaces. With a budget or
+     Byzantine nodes in the scenario, the adversarial certifiers' witnesses
+     must also replay on both execution engines. *)
   (if !found = None then
      match Protocol.labelings_count p with
      | Some n when n <= 2048 ->
-         incr pairs;
+         let budget = 20000 in
          let kind = function
-           | Checker.Stabilizing -> "stabilizing"
-           | Checker.Oscillating _ -> "oscillating"
-           | Checker.Too_large _ -> "too_large"
+           | `St -> "stabilizing"
+           | `Osc -> "oscillating"
+           | `Big -> "too_large"
          in
-         let fast = Checker.check_label p ~input ~r:1 ~max_states:20000 in
          let naive =
-           Checker.Naive.check_label p ~input ~r:1 ~max_states:20000
+           match
+             Checker.Naive.check_label p ~input ~r:1 ~max_states:budget
+           with
+           | Checker.Stabilizing -> `St
+           | Checker.Oscillating _ -> `Osc
+           | Checker.Too_large _ -> `Big
          in
-         if kind fast <> kind naive then
-           found :=
-             Some
-               {
-                 scenario = s;
-                 pair = ("checker", "naive");
-                 step = 0;
-                 detail =
-                   Printf.sprintf "verdicts differ: %s vs %s" (kind fast)
-                     (kind naive);
-               }
+         let pair name verdict ~witness_ok =
+           if !found = None then begin
+             incr pairs;
+             let fast = verdict () in
+             let detail =
+               if fast <> naive then
+                 Some
+                   (Printf.sprintf "verdicts differ: %s vs %s" (kind fast)
+                      (kind naive))
+               else if not (witness_ok ()) then
+                 Some "adversarial witness fails to replay"
+               else None
+             in
+             Option.iter
+               (fun detail ->
+                 found :=
+                   Some
+                     { scenario = s; pair = (name, "naive"); step = 0; detail })
+               detail
+           end
+         in
+         pair "checker"
+           (fun () ->
+             match Checker.check_label p ~input ~r:1 ~max_states:budget with
+             | Checker.Stabilizing -> `St
+             | Checker.Oscillating _ -> `Osc
+             | Checker.Too_large _ -> `Big)
+           ~witness_ok:(fun () -> true);
+         pair "netcheck-k0"
+           (fun () ->
+             match
+               Netcheck.check_label p ~input ~r:1 ~k:0 ~window:1
+                 ~max_states:budget
+             with
+             | Netcheck.Stabilizing -> `St
+             | Netcheck.Oscillating _ -> `Osc
+             | Netcheck.Too_large _ -> `Big)
+           ~witness_ok:(fun () ->
+             s.budget_k = 0
+             ||
+             match
+               Netcheck.check_label p ~input ~r:1 ~k:s.budget_k ~window:4
+                 ~max_states:budget
+             with
+             | Netcheck.Oscillating w ->
+                 Netcheck.replay p ~input w && Netcheck.replay_packed p ~input w
+             | Netcheck.Stabilizing | Netcheck.Too_large _ -> true);
+         let byz = List.init (min s.byz s.nodes) Fun.id in
+         pair "byzcheck-empty"
+           (fun () ->
+             match
+               Byzcheck.check_label p ~input ~byz:[] ~r:1 ~max_states:budget
+             with
+             | Byzcheck.Stabilizing -> `St
+             | Byzcheck.Oscillating _ -> `Osc
+             | Byzcheck.Too_large _ -> `Big)
+           ~witness_ok:(fun () ->
+             byz = []
+             ||
+             match
+               Byzcheck.check_label p ~input ~byz ~r:1 ~max_states:budget
+             with
+             | Byzcheck.Oscillating w ->
+                 Byzcheck.replay p ~input ~byz w
+                 && Byzcheck.replay_packed p ~input ~byz w
+             | Byzcheck.Stabilizing | Byzcheck.Too_large _ -> true)
      | Some _ | None -> ());
   (!pairs, !found)
 

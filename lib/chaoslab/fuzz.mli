@@ -16,8 +16,11 @@
     - one Byzantine adversary run over both reaction engines
       ([Byzlab.Reference] against [Byzlab.Packed]) when the scenario
       places adversaries;
-    - the production checker against the naive oracle ([r = 1]) when
-      the labeling space is small enough to enumerate.
+    - the production checker, Netcheck at budget 0 and Byzcheck with no
+      Byzantine node against the naive oracle ([r = 1]) when the
+      labeling space is small enough to enumerate; with a budget (resp.
+      Byzantine nodes) in the scenario, Netcheck's (resp. Byzcheck's)
+      oscillation witness must also replay on Engine and Kernel.
 
     Any divergence is greedily shrunk along a lattice of reductions
     (truncate the schedule, drop nodes and extra edges, shrink the label

@@ -25,37 +25,23 @@ type stats = {
 let last_stats_ref : stats option ref = ref None
 let last_stats () = !last_stats_ref
 
-let ipow base e =
-  let rec loop acc e = if e = 0 then acc else loop (acc * base) (e - 1) in
-  loop 1 e
+let ipow = Stategraph.ipow
+let nodes_of_mask = Stategraph.nodes_of_mask
 
 (* [ilog2 v] for v a positive power of two. *)
 let ilog2 v =
   let rec loop v acc = if v <= 1 then acc else loop (v lsr 1) (acc + 1) in
   loop v 0
 
-let nodes_of_mask n mask =
-  let rec loop i acc =
-    if i < 0 then acc
-    else if mask land (1 lsl i) <> 0 then loop (i - 1) (i :: acc)
-    else loop (i - 1) acc
-  in
-  loop (n - 1) []
-
-(* The explored states-graph. State ids index all vectors; edges live in one
-   flat CSR buffer. State id -> key [lab_code * r^n + cd_code] where
-   [cd_code] is the countdown vector in base r (digit = countdown - 1,
-   node 0 most significant). *)
+(* The explored states-graph [g]: state ids index all vectors and edges
+   live in one flat CSR buffer. State id -> key [lab_code * r^n + cd_code]
+   where [cd_code] is the countdown vector in base r (digit = countdown -
+   1, node 0 most significant). *)
 type ('x, 'l) explored = {
-  n : int;
+  g : Stategraph.t;
   r : int;
-  lab_count : int;
   cd_count : int;  (* r^n *)
   pow2n : int;
-  keys : int Vec.t;  (* id -> key *)
-  csr : Csr.t;  (* id -> packed (succ, mask, changed) edges *)
-  parent : int Vec.t;  (* id -> predecessor id in BFS forest, -1 at roots *)
-  parent_mask : int Vec.t;
   cache : ('x, 'l) Trans_cache.t;  (* for post-hoc output reads *)
   sym : symctx option;  (* set when exploring the symmetry quotient *)
 }
@@ -147,9 +133,9 @@ let orbit_size sctx ~r ~cd_count ~n digits key =
    w.r.t. the shared tables ([keys] is only read below [b]), so disjoint
    ranges may run in parallel domains, each with its own memo [cache]. *)
 let expand_range ex cache ~rpow ~sum_rpow ~add ~sym_digits ~ecnt ~edata a b =
-  let n = ex.n and r = ex.r and cd_count = ex.cd_count in
+  let n = ex.g.n and r = ex.r and cd_count = ex.cd_count in
   for id = a to b - 1 do
-    let key = Vec.unsafe_get ex.keys id in
+    let key = Vec.unsafe_get ex.g.keys id in
     let lab = key / cd_count and cd = key mod cd_count in
     let forced = ref 0 in
     for i = 0 to n - 1 do
@@ -197,26 +183,13 @@ let expand_range ex cache ~rpow ~sum_rpow ~add ~sym_digits ~ecnt ~edata a b =
 
    Invariant between calls: [sc_set] remembers which keys it interned
    (exploration adds through it, so the record stays accurate even if a
-   reaction function raises mid-call), and every Tarjan visit index ever
-   handed out is [< sc_clock]. *)
+   reaction function raises mid-call). *)
 type scratch = {
   mutable sc_n : int;  (* node count the csr packing was built for *)
   mutable sc_keys : int Vec.t;
   mutable sc_parent : int Vec.t;
-  mutable sc_parent_mask : int Vec.t;
   mutable sc_csr : Csr.t;
   sc_set : Stateset.t;
-  (* Tarjan scratch: visit clock persists so [sc_index] never needs
-     clearing — entries below the clock at entry are "unvisited". *)
-  mutable sc_clock : int;
-  mutable sc_index : int array;
-  mutable sc_lowlink : int array;
-  mutable sc_comp : int array;
-  mutable sc_stack : int array;
-  mutable sc_call_v : int array;
-  mutable sc_call_cur : int array;
-  mutable sc_call_end : int array;
-  mutable sc_on_stack : Bytes.t;
 }
 
 let scratch_key =
@@ -225,23 +198,13 @@ let scratch_key =
         sc_n = -1;
         sc_keys = Vec.create ~capacity:0 ~dummy:0 ();
         sc_parent = Vec.create ~capacity:0 ~dummy:(-1) ();
-        sc_parent_mask = Vec.create ~capacity:0 ~dummy:0 ();
         sc_csr = Csr.create ~n:1 ~capacity:0 ();
         sc_set = Stateset.create ();
-        sc_clock = 0;
-        sc_index = [||];
-        sc_lowlink = [||];
-        sc_comp = [||];
-        sc_stack = [||];
-        sc_call_v = [||];
-        sc_call_cur = [||];
-        sc_call_end = [||];
-        sc_on_stack = Bytes.empty;
       })
 
 let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
   let n = Protocol.num_nodes p in
-  if n > 20 then invalid_arg "Checker: too many nodes for subset enumeration";
+  Stategraph.validate ~who:"Checker" ~n ~r;
   if domains < 1 then invalid_arg "Checker: domains must be >= 1";
   match Protocol.labelings_count p with
   | None -> Error max_int
@@ -278,33 +241,36 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
         Stateset.reset sc.sc_set ~universe:total;
         Vec.clear sc.sc_keys;
         Vec.clear sc.sc_parent;
-        Vec.clear sc.sc_parent_mask;
         Vec.reserve sc.sc_keys capacity;
         Vec.reserve sc.sc_parent capacity;
-        Vec.reserve sc.sc_parent_mask capacity;
         if sc.sc_n <> n then begin
           sc.sc_n <- n;
           sc.sc_csr <- Csr.create ~n ~capacity ~edge_capacity ()
         end
         else Csr.reset sc.sc_csr;
+        let keys = sc.sc_keys and parents = sc.sc_parent and csr = sc.sc_csr in
         let ex =
           {
-            n;
+            g =
+              {
+                Stategraph.n;
+                react = -1;
+                lab_div = cd_count;
+                keys;
+                csr;
+                parent = parents;
+                choice = Vec.create ~capacity:0 ~dummy:(-1) ();
+              };
             r;
-            lab_count;
             cd_count;
             pow2n = 1 lsl n;
-            keys = sc.sc_keys;
-            csr = sc.sc_csr;
-            parent = sc.sc_parent;
-            parent_mask = sc.sc_parent_mask;
             cache = Trans_cache.create p ~input ~lab_count;
             sym = symc;
           }
         in
         (* One-time overflow check: every interned id is < total, so edge
            words can be pushed unchecked below. *)
-        if total - 1 > Csr.max_succ ex.csr then
+        if total - 1 > Csr.max_succ csr then
           invalid_arg "Checker: state space too large for edge packing";
         let rpow = Array.init n (fun i -> ipow r (n - 1 - i)) in
         let sum_rpow = Array.fold_left ( + ) 0 rpow in
@@ -323,18 +289,17 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
           Array.init domains (fun _ ->
               Array.make (if symc = None then 0 else m + n) 0)
         in
-        let intern key ~parent ~mask =
+        let intern key ~parent =
           let id =
             if use_direct then Array.unsafe_get direct key
             else Stateset.find set key
           in
           if id >= 0 then id
           else begin
-            let id = Vec.length ex.keys in
+            let id = Vec.length keys in
             Stateset.add set ~key ~id;
-            Vec.push ex.keys key;
-            Vec.push ex.parent parent;
-            Vec.push ex.parent_mask mask;
+            Vec.push keys key;
+            Vec.push parents parent;
             (match symc with
             | None -> ()
             | Some sctx ->
@@ -347,8 +312,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
         | None ->
             for lab_code = 0 to lab_count - 1 do
               ignore
-                (intern ((lab_code * cd_count) + (cd_count - 1)) ~parent:(-1)
-                   ~mask:0)
+                (intern ((lab_code * cd_count) + (cd_count - 1)) ~parent:(-1))
             done
         | Some sctx ->
             (* Every node permutation fixes the all-(r-1) countdown vector,
@@ -383,7 +347,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                 ignore
                   (intern
                      ((lab_code * cd_count) + (cd_count - 1))
-                     ~parent:(-1) ~mask:0)
+                     ~parent:(-1))
             done);
         (* The per-domain worker state only exists when parallel expansion
            is possible; the sequential path runs fused and buffer-free. *)
@@ -404,8 +368,8 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
         in
         let hits = ref 0 and misses = ref 0 in
         let lo = ref 0 in
-        while !lo < Vec.length ex.keys do
-          let hi = Vec.length ex.keys in
+        while !lo < Vec.length keys do
+          let hi = Vec.length keys in
           let count = hi - !lo in
           let nchunks =
             if domains > 1 && count >= 4 * domains && not (Pool.in_worker ())
@@ -416,7 +380,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
             (* Sequential fast path: expand and intern in one fused pass,
                with no intermediate edge buffers. *)
             let cache = caches.(0) and add = adds.(0) in
-            let n = ex.n and r = ex.r and pow2n = ex.pow2n in
+            let pow2n = ex.pow2n in
             (* When r is a power of two the countdown digits are bit
                fields, so the prelude runs on shifts instead of
                divisions. *)
@@ -429,7 +393,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
               ctz.(1 lsl i) <- i
             done;
             for id = !lo to hi - 1 do
-              let key = Vec.unsafe_get ex.keys id in
+              let key = Vec.unsafe_get keys id in
               let lab = key / cd_count and cd = key mod cd_count in
               let forced = ref 0 in
               if rbits >= 0 then
@@ -456,7 +420,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
               let forced = !forced in
               let blk, off = Trans_cache.block cache lab in
               let slotb = off + (2 * n) in
-              Csr.reserve_edges ex.csr (pow2n - 1);
+              Csr.reserve_edges csr (pow2n - 1);
               for mask = 1 to pow2n - 1 do
                 if mask land forced = forced then begin
                   (* [Trans_cache.step_in] and [intern], hand-inlined: this
@@ -498,11 +462,10 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                   let succ =
                     if sid >= 0 then sid
                     else begin
-                      let sid = Vec.length ex.keys in
+                      let sid = Vec.length keys in
                       Stateset.add set ~key:skey ~id:sid;
-                      Vec.push ex.keys skey;
-                      Vec.push ex.parent id;
-                      Vec.push ex.parent_mask mask;
+                      Vec.push keys skey;
+                      Vec.push parents id;
                       (match symc with
                       | None -> ()
                       | Some sctx ->
@@ -512,11 +475,10 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                       sid
                     end
                   in
-                  Csr.unsafe_push_edge ex.csr ~succ ~mask
-                    ~changed:(packed land 1)
+                  Csr.unsafe_push_edge csr ~succ ~mask ~changed:(packed land 1)
                 end
               done;
-              Csr.end_row ex.csr
+              Csr.end_row csr
             done
           end
           else begin
@@ -542,11 +504,10 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                   let key = Vec.unsafe_get edata !pos
                   and mc = Vec.unsafe_get edata (!pos + 1) in
                   pos := !pos + 2;
-                  let succ = intern key ~parent:!id ~mask:(mc lsr 1) in
-                  Csr.push_edge ex.csr ~succ ~mask:(mc lsr 1)
-                    ~changed:(mc land 1)
+                  let succ = intern key ~parent:!id in
+                  Csr.push_edge csr ~succ ~mask:(mc lsr 1) ~changed:(mc land 1)
                 done;
-                Csr.end_row ex.csr;
+                Csr.end_row csr;
                 incr id
               done
             done
@@ -560,12 +521,10 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
         last_stats_ref :=
           Some
             {
-              states = Vec.length ex.keys;
+              states = Vec.length keys;
               full_states =
-                (match symc with
-                | None -> Vec.length ex.keys
-                | Some _ -> !full);
-              edges = Csr.num_edges ex.csr;
+                (match symc with None -> Vec.length keys | Some _ -> !full);
+              edges = Csr.num_edges csr;
               memo_hits =
                 Array.fold_left (fun a c -> a + Trans_cache.hits c) 0 caches;
               memo_misses =
@@ -575,152 +534,11 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
         Ok ex
       end
 
-(* Iterative Tarjan over the CSR states-graph. All stacks are flat int
-   arrays — a vertex enters each stack at most once, so [count] slots
-   suffice and the traversal allocates nothing per edge. *)
-let scc_of_explored ex =
-  let count = Vec.length ex.keys in
-  let sc = Domain.DLS.get scratch_key in
-  if Array.length sc.sc_index < count then begin
-    (* Fresh scratch: all-zero [sc_index] reads as unvisited because the
-       clock only moves forward. [sc_on_stack] stays all-zero between runs
-       since every pushed vertex is popped. *)
-    sc.sc_index <- Array.make count 0;
-    sc.sc_lowlink <- Array.make count 0;
-    sc.sc_comp <- Array.make count 0;
-    sc.sc_stack <- Array.make count 0;
-    sc.sc_call_v <- Array.make count 0;
-    sc.sc_call_cur <- Array.make count 0;
-    sc.sc_call_end <- Array.make count 0;
-    sc.sc_on_stack <- Bytes.make count '\000';
-    if sc.sc_clock = 0 then sc.sc_clock <- 1
-  end;
-  let base = sc.sc_clock in
-  let index = sc.sc_index in
-  let lowlink = sc.sc_lowlink in
-  let on_stack = sc.sc_on_stack in
-  let comp = sc.sc_comp in
-  let stack = sc.sc_stack in
-  let sp = ref 0 in
-  let call_v = sc.sc_call_v in
-  (* Per-frame cursor and end into the flat edge buffer — hoists the row
-     bounds out of the per-edge loop. *)
-  let call_cur = sc.sc_call_cur in
-  let call_end = sc.sc_call_end in
-  let csp = ref 0 in
-  let next_index = ref base and next_comp = ref 0 in
-  let csr = ex.csr in
-  for root = 0 to count - 1 do
-    if index.(root) < base then begin
-      call_v.(0) <- root;
-      call_cur.(0) <- Csr.row_start csr root;
-      call_end.(0) <- Csr.row_start csr (root + 1);
-      csp := 1;
-      index.(root) <- !next_index;
-      lowlink.(root) <- !next_index;
-      incr next_index;
-      stack.(!sp) <- root;
-      incr sp;
-      Bytes.unsafe_set on_stack root '\001';
-      while !csp > 0 do
-        let fr = !csp - 1 in
-        let v = Array.unsafe_get call_v fr in
-        let cur = Array.unsafe_get call_cur fr in
-        if cur < Array.unsafe_get call_end fr then begin
-          Array.unsafe_set call_cur fr (cur + 1);
-          let u = Csr.succ_of_word csr (Csr.cell csr cur) in
-          if Array.unsafe_get index u < base then begin
-            index.(u) <- !next_index;
-            lowlink.(u) <- !next_index;
-            incr next_index;
-            stack.(!sp) <- u;
-            incr sp;
-            Bytes.unsafe_set on_stack u '\001';
-            call_v.(!csp) <- u;
-            call_cur.(!csp) <- Csr.row_start csr u;
-            call_end.(!csp) <- Csr.row_start csr (u + 1);
-            incr csp
-          end
-          else if Bytes.unsafe_get on_stack u = '\001' then
-            lowlink.(v) <- min lowlink.(v) index.(u)
-        end
-        else begin
-          decr csp;
-          if lowlink.(v) = index.(v) then begin
-            let continue = ref true in
-            while !continue do
-              decr sp;
-              let u = stack.(!sp) in
-              Bytes.unsafe_set on_stack u '\000';
-              comp.(u) <- !next_comp;
-              if u = v then continue := false
-            done;
-            incr next_comp
-          end;
-          if !csp > 0 then begin
-            let parent = call_v.(!csp - 1) in
-            lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          end
-        end
-      done
-    end
-  done;
-  sc.sc_clock <- !next_index;
-  comp
-
-(* Shortest intra-component path src -> dst as a list of activation masks. *)
-let path_within_scc ex comp ~src ~dst =
-  if src = dst then Some []
-  else begin
-    let count = Vec.length ex.keys in
-    let pred = Array.make count (-1) in
-    let pred_mask = Array.make count 0 in
-    let queue = Queue.create () in
-    pred.(src) <- src;
-    Queue.add src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      let deg = Csr.degree ex.csr v in
-      let k = ref 0 in
-      while (not !found) && !k < deg do
-        let u = Csr.succ ex.csr v !k and mask = Csr.mask ex.csr v !k in
-        if comp.(u) = comp.(src) && pred.(u) < 0 then begin
-          pred.(u) <- v;
-          pred_mask.(u) <- mask;
-          if u = dst then found := true else Queue.add u queue
-        end;
-        incr k
-      done
-    done;
-    if not !found then None
-    else begin
-      let rec walk v acc =
-        if v = src then acc else walk pred.(v) (pred_mask.(v) :: acc)
-      in
-      Some (walk dst [])
-    end
-  end
-
-(* Path from a BFS root (an initialization vertex) to [id], plus the root's
-   labeling code. *)
-let path_from_root ex id =
-  let rec walk id acc =
-    if Vec.get ex.parent id < 0 then (id, acc)
-    else walk (Vec.get ex.parent id) (Vec.get ex.parent_mask id :: acc)
-  in
-  let root, masks = walk id [] in
-  (Vec.get ex.keys root / ex.cd_count, masks)
-
 let masks_to_sets n masks = List.map (nodes_of_mask n) masks
 
-let make_witness ex ~cycle_entry ~cycle_masks =
-  let init_code, prefix_masks = path_from_root ex cycle_entry in
-  {
-    init_code;
-    prefix = masks_to_sets ex.n prefix_masks;
-    cycle = masks_to_sets ex.n cycle_masks;
-  }
+let witness_of_lasso (g : Stategraph.t) (l : Stategraph.lasso) =
+  let sets = List.map (fun e -> nodes_of_mask g.n (Stategraph.mask g e)) in
+  { init_code = l.init_code; prefix = sets l.prefix; cycle = sets l.cycle }
 
 (* Lift a quotient-graph witness to a concrete run (symmetry mode).
 
@@ -737,8 +555,8 @@ let make_witness ex ~cycle_entry ~cycle_masks =
    orbit-size traversals. Every traversal crosses the lifted image of the
    Q-cycle's label-changing edge — the changed bit is G-invariant — so the
    closed real loop replays as a genuine oscillation. *)
-let make_witness_sym ex sctx ~cycle_entry ~cycle_masks =
-  let n = ex.n and r = ex.r and cd_count = ex.cd_count in
+let make_witness_sym ex sctx (l : Stategraph.lasso) =
+  let n = ex.g.n and r = ex.r and cd_count = ex.cd_count in
   let m = sctx.sym_m and card = sctx.sym_card in
   let digits = Array.make (m + n) 0 in
   let nps = Symmetry.node_perms sctx.sy in
@@ -798,9 +616,10 @@ let make_witness_sym ex sctx ~cycle_entry ~cycle_masks =
     in
     (key, List.rev rev)
   in
-  let init_code, prefix_q = path_from_root ex cycle_entry in
-  let start = (init_code * cd_count) + (cd_count - 1) in
-  let entry0, prefix_real = play start prefix_q in
+  let masks = List.map (Stategraph.mask ex.g) in
+  let cycle_masks = masks l.cycle in
+  let start = (l.init_code * cd_count) + (cd_count - 1) in
+  let entry0, prefix_real = play start (masks l.prefix) in
   let rec close seen segs idx key =
     match List.assoc_opt key seen with
     | Some k ->
@@ -816,7 +635,7 @@ let make_witness_sym ex sctx ~cycle_entry ~cycle_masks =
   in
   let prefix_ext, cycle_real = close [] [] 0 entry0 in
   {
-    init_code;
+    init_code = l.init_code;
     prefix = masks_to_sets n (prefix_real @ prefix_ext);
     cycle = masks_to_sets n cycle_real;
   }
@@ -825,148 +644,28 @@ let check_label ?domains ?symmetry p ~input ~r ~max_states =
   match explore ?domains ?symmetry p ~input ~r ~max_states with
   | Error needed -> Too_large { needed }
   | Ok ex -> (
-      let comp = scc_of_explored ex in
-      (* Find a label-changing edge inside an SCC. *)
-      let csr = ex.csr in
-      let found = ref None in
-      let count = Vec.length ex.keys in
-      let id = ref 0 in
-      while !found == None && !id < count do
-        let base = Csr.row_start csr !id in
-        let deg = Csr.degree csr !id in
-        let cid = Array.unsafe_get comp !id in
-        let k = ref 0 in
-        while !found == None && !k < deg do
-          let w = Csr.cell csr (base + !k) in
-          if Csr.changed_of_word w = 1 then begin
-            let u = Csr.succ_of_word csr w in
-            if Array.unsafe_get comp u = cid then
-              found := Some (!id, u, Csr.mask_of_word csr w)
-          end;
-          incr k
-        done;
-        incr id
-      done;
-      match !found with
+      match Stategraph.label_lasso ex.g (Stategraph.scc ex.g) with
       | None -> Stabilizing
-      | Some (v, u, mask) -> (
-          match path_within_scc ex comp ~src:u ~dst:v with
-          | None -> assert false (* u, v lie in the same SCC *)
-          | Some back ->
-              let cycle_masks = mask :: back in
-              Oscillating
-                (match ex.sym with
-                | None -> make_witness ex ~cycle_entry:v ~cycle_masks
-                | Some sctx ->
-                    make_witness_sym ex sctx ~cycle_entry:v ~cycle_masks)))
+      | Some l ->
+          Oscillating
+            (match ex.sym with
+            | None -> witness_of_lasso ex.g l
+            | Some sctx -> make_witness_sym ex sctx l))
 
 let check_output ?domains p ~input ~r ~max_states =
   match explore ?domains p ~input ~r ~max_states with
   | Error needed -> Too_large { needed }
   | Ok ex -> (
-      let comp = scc_of_explored ex in
-      let count = Vec.length ex.keys in
-      (* For every intra-SCC edge and activated node, record the produced
-         output; two distinct outputs for the same node in one SCC witness
-         output divergence. Outputs depend only on the source labeling and
-         the node, so they are read off the transition cache instead of
-         re-evaluating reaction functions per edge. Keys are packed as
-         [scc * n + node] — SCC ids are < count, so the code is unique —
-         and the table is sized for the worst case (one entry per state
-         and node) capped at a sane bound, avoiding boxed tuple keys and
-         rehash-on-grow in the scan. *)
-      let seen : (int, int * (int * int)) Hashtbl.t =
-        Hashtbl.create (min (count * ex.n) (1 lsl 16))
-      in
-      (* scc * n + node -> (output, (edge src, mask)) *)
-      let csr = ex.csr in
-      let conflict = ref None in
-      let id = ref 0 in
-      while !conflict == None && !id < count do
-        let lab_code = Vec.unsafe_get ex.keys !id / ex.cd_count in
-        let base = Csr.row_start csr !id in
-        let deg = Csr.degree csr !id in
-        let cid = Array.unsafe_get comp !id in
-        let k = ref 0 in
-        while !conflict == None && !k < deg do
-          let w = Csr.cell csr (base + !k) in
-          let u = Csr.succ_of_word csr w in
-          if Array.unsafe_get comp u = cid then begin
-            let mask = Csr.mask_of_word csr w in
-            List.iter
-              (fun node ->
-                if !conflict == None then begin
-                  let y = Trans_cache.output ex.cache ~lab_code ~node in
-                  let k = (cid * ex.n) + node in
-                  match Hashtbl.find_opt seen k with
-                  | None -> Hashtbl.replace seen k (y, (!id, mask))
-                  | Some (y0, (src0, mask0)) ->
-                      if y0 <> y then
-                        conflict := Some ((src0, mask0), (!id, mask), u)
-                end)
-              (nodes_of_mask ex.n mask)
-          end;
-          incr k
-        done;
-        incr id
-      done;
-      match !conflict with
+      match Stategraph.output_lasso ex.g (Stategraph.scc ex.g) ex.cache with
       | None -> Stabilizing
-      | Some ((src0, mask0), (src1, mask1), dst1) -> (
-          (* Build a cycle through both conflicting edges:
-             src0 -e0-> dst0 ~~> src1 -e1-> dst1 ~~> src0. *)
-          let dst0 =
-            let rec find k =
-              if
-                Csr.mask ex.csr src0 k = mask0
-                && comp.(Csr.succ ex.csr src0 k) = comp.(src0)
-              then Csr.succ ex.csr src0 k
-              else find (k + 1)
-            in
-            find 0
-          in
-          match
-            ( path_within_scc ex comp ~src:dst0 ~dst:src1,
-              path_within_scc ex comp ~src:dst1 ~dst:src0 )
-          with
-          | Some mid, Some back ->
-              let cycle_masks = (mask0 :: mid) @ (mask1 :: back) in
-              Oscillating (make_witness ex ~cycle_entry:src0 ~cycle_masks)
-          | _ -> assert false))
+      | Some l -> Oscillating (witness_of_lasso ex.g l))
 
-let replay p ~input witness =
-  let init = Protocol.decode_config p witness.init_code in
-  let play config sets =
-    List.fold_left
-      (fun c active -> Engine.step p ~input c ~active)
-      config sets
+let replay p ~input w =
+  let steps =
+    List.map (fun active -> { Stategraph.react = active; writes = [] })
   in
-  let at_cycle = play init witness.prefix in
-  let start_key = Protocol.config_key p at_cycle in
-  (* Walk the cycle watching for label changes and output changes. *)
-  let label_changed = ref false in
-  let output_changed = ref false in
-  (* At most one entry per node. *)
-  let outputs : (int, int) Hashtbl.t =
-    Hashtbl.create (Protocol.num_nodes p)
-  in
-  let config = ref at_cycle in
-  List.iter
-    (fun active ->
-      let before = Protocol.config_key p !config in
-      List.iter
-        (fun node ->
-          let _, y = Protocol.apply p ~input !config node in
-          match Hashtbl.find_opt outputs node with
-          | None -> Hashtbl.replace outputs node y
-          | Some y0 -> if y0 <> y then output_changed := true)
-        active;
-      config := Engine.step p ~input !config ~active;
-      if not (String.equal before (Protocol.config_key p !config)) then
-        label_changed := true)
-    witness.cycle;
-  let returns = String.equal start_key (Protocol.config_key p !config) in
-  returns && (!label_changed || !output_changed)
+  Stategraph.replay p ~input ~init_code:w.init_code ~prefix:(steps w.prefix)
+    ~cycle:(steps w.cycle)
 
 let max_stabilizing_r ?domains ?symmetry p ~input ~r_limit ~max_states =
   let rec loop r =
@@ -1182,8 +881,7 @@ module Naive = struct
 
   let explore p ~input ~r ~max_states =
     let n = Protocol.num_nodes p in
-    if n > 20 then
-      invalid_arg "Checker: too many nodes for subset enumeration";
+    Stategraph.validate ~who:"Checker" ~n ~r;
     match Protocol.labelings_count p with
     | None -> Error max_int
     | Some lab_count ->
@@ -1393,7 +1091,7 @@ module Naive = struct
         let comp = scc_of_explored ex in
         let count = Vec.length ex.keys in
         (* Packed [scc * n + node] keys and worst-case pre-sizing, as in
-           the fast checker's twin table. *)
+           the fast checker's twin table ({!Stategraph.output_conflicts}). *)
         let seen : (int, int * (int * int)) Hashtbl.t =
           Hashtbl.create (min (count * ex.n) (1 lsl 16))
         in

@@ -25,7 +25,9 @@
     are memoized per [(labeling, activation set)] ({!Trans_cache}), cutting
     reaction-function evaluations by a factor of up to [rⁿ]. Edges are
     stored in one flat compressed-sparse-row buffer ({!Csr}) that the SCC,
-    witness-search and output-conflict passes read directly. Exploration can
+    witness-search and output-conflict passes of {!Stategraph} — the back
+    end this checker shares with the adversarial certifiers — read
+    directly. Exploration can
     optionally expand each breadth-first level across multiple OCaml
     domains; results are bit-identical for every domain count because state
     interning stays sequential and ordered. *)
@@ -82,7 +84,9 @@ val last_stats : unit -> stats option
     reports both [states] (explored) and [full_states] (certified).
     Oscillating verdicts lift the quotient cycle back to a concrete run, so
     witnesses stay {!replay}-checkable; the witness may differ from the
-    unreduced explorer's, but the verdict never does. *)
+    unreduced explorer's, but the verdict never does.
+    @raise Invalid_argument when [r < 1] or the protocol has more than 20
+    nodes. *)
 val check_label :
   ?domains:int ->
   ?symmetry:Symmetry.t ->

@@ -12,12 +12,17 @@
    single-edge rewrites); bounded delay is a composition of a loss now
    and a rewrite later, both drawn from the same budget.
 
-   The states-graph of the plain checker — (labeling, fairness
-   countdown) — is augmented with the adversary's position in the window
-   and remaining budget: a state is (ℓ, cd, b, φ) and a transition picks
-   an admissible activation set, applies the protocol step, and then
-   optionally (when b > 0) spends one budget unit on a single-edge
-   rewrite. The budget recharges to [k] whenever the window wraps.
+   The adversary is part of the transition relation: a state of the
+   plain checker's states-graph — (labeling, fairness countdown) — gains
+   the adversary's remaining budget b and window phase φ, and a
+   transition picks an admissible activation set, applies the protocol
+   step, and then optionally (when b > 0) spends one budget unit on a
+   single-edge rewrite. The budget recharges to [k] whenever the window
+   wraps. This module only defines that adversary and decodes its choice
+   codes into faults; exploration, SCCs, lassos and witness replay are
+   the shared back end ({!Stateless_checker.Stategraph}) that the plain
+   checker and the Byzantine certifier use too.
+
    Divergence is still {e protocol} divergence: an edge of the graph is
    marked changed only when the protocol step changed the labeling —
    adversarial rewrites never count, so a verdict of [Oscillating] means
@@ -30,15 +35,11 @@
    With [k = 0] the budget and phase dimensions collapse (b ≡ 0, and φ
    is not tracked at all), so the graph is literally the plain checker's
    states-graph and verdicts agree by construction — the differential
-   tests assert this on the standard small instances. *)
+   tests and the fuzzer assert this. *)
 
 module Protocol = Stateless_core.Protocol
-module Engine = Stateless_core.Engine
-module Kernel = Stateless_core.Kernel
 module Label = Stateless_core.Label
-module Vec = Stateless_checker.Vec
-module Csr = Stateless_checker.Csr
-module Trans_cache = Stateless_checker.Trans_cache
+module Stategraph = Stateless_checker.Stategraph
 
 type fault = { edge : int; code : int }
 type step = { active : int list; fault : fault option }
@@ -59,517 +60,103 @@ type stats = { states : int; edges : int }
 let last_stats_ref : stats option ref = ref None
 let last_stats () = !last_stats_ref
 
-let ipow base e =
-  let rec loop acc e = if e = 0 then acc else loop (acc * base) (e - 1) in
-  loop 1 e
-
-let nodes_of_mask n mask =
-  let rec loop i acc =
-    if i < 0 then acc
-    else if mask land (1 lsl i) <> 0 then loop (i - 1) (i :: acc)
-    else loop (i - 1) acc
-  in
-  loop (n - 1) []
-
-(* The explored augmented states-graph. State id -> key
-   [((lab * cd_count + cd) * bud_count + b) * w_eff + phase]; [w_eff] is 1
-   when k = 0 so the zero-budget graph coincides with the plain checker's.
-   Edge cells live in the CSR; [efault] runs in lockstep with the CSR's
-   flat cell buffer (one push per edge) and holds the fault taken on that
-   edge, encoded [edge * card + code], or -1 for fault-free edges. *)
-type ('x, 'l) explored = {
-  n : int;
-  m : int;
-  card : int;
-  r : int;
-  k : int;
-  lab_count : int;
-  cd_count : int;  (* r^n *)
-  bud_count : int;  (* k + 1 *)
-  w_eff : int;  (* window, or 1 when k = 0 *)
-  keys : int Vec.t;
-  csr : Csr.t;
-  efault : int Vec.t;
-  parent : int Vec.t;
-  parent_mask : int Vec.t;
-  parent_fault : int Vec.t;
-  cache : ('x, 'l) Trans_cache.t;
-  weight : int array;  (* weight.(e) = card^(m-1-e): edge 0 most significant *)
-}
-
-(* Saturating multiply for the size estimate reported by Too_large. *)
-let mul_sat a b =
-  if a = 0 || b = 0 then 0
-  else if a > max_int / b then max_int
-  else a * b
-
+(* The adversary's state is [b * w_eff + phase]: remaining budget and
+   window phase, [w_eff] being 1 when k = 0 so that the zero-budget graph
+   coincides with the plain checker's. Edge choice codes hold the fault
+   taken on the edge, [edge * card + code], or -1 for fault-free edges. *)
 let explore p ~input ~r ~k ~window ~max_states =
   let n = Protocol.num_nodes p in
-  if n > 20 then invalid_arg "Netcheck: too many nodes for subset enumeration";
-  if r < 1 then invalid_arg "Netcheck: r must be >= 1";
+  Stategraph.validate ~who:"Netcheck" ~n ~r;
   if k < 0 then invalid_arg "Netcheck: budget k must be >= 0";
   if window < 1 then invalid_arg "Netcheck: window must be >= 1";
-  match Protocol.labelings_count p with
-  | None -> Error max_int
-  | Some lab_count ->
-      let m = Protocol.num_edges p in
-      let card = p.Protocol.space.Label.card in
-      let cd_count = ipow r n in
-      let bud_count = k + 1 in
-      let w_eff = if k = 0 then 1 else window in
-      let total =
-        mul_sat (mul_sat (mul_sat lab_count cd_count) bud_count) w_eff
-      in
-      if total > max_states then Error total
-      else begin
-        let csr = Csr.create ~n ~capacity:(min total 65536) () in
-        if total - 1 > Csr.max_succ csr then
-          invalid_arg "Netcheck: state space too large for edge packing";
-        let ex =
-          {
-            n;
-            m;
-            card;
-            r;
-            k;
-            lab_count;
-            cd_count;
-            bud_count;
-            w_eff;
-            keys = Vec.create ~capacity:(min total 65536) ~dummy:0 ();
-            csr;
-            efault = Vec.create ~capacity:1024 ~dummy:(-1) ();
-            parent = Vec.create ~dummy:(-1) ();
-            parent_mask = Vec.create ~dummy:0 ();
-            parent_fault = Vec.create ~dummy:(-1) ();
-            cache = Trans_cache.create p ~input ~lab_count;
-            weight = Array.init m (fun e -> ipow card (m - 1 - e));
-          }
-        in
-        let state_of_key = Array.make total (-1) in
-        let intern key ~parent ~mask ~fault =
-          let id = Array.unsafe_get state_of_key key in
-          if id >= 0 then id
-          else begin
-            let id = Vec.length ex.keys in
-            Array.unsafe_set state_of_key key id;
-            Vec.push ex.keys key;
-            Vec.push ex.parent parent;
-            Vec.push ex.parent_mask mask;
-            Vec.push ex.parent_fault fault;
-            id
-          end
-        in
-        (* Initialization vertices: every labeling, full countdowns, full
-           budget, window phase 0. *)
-        let bw = bud_count * w_eff in
-        for lab = 0 to lab_count - 1 do
-          ignore
-            (intern
-               ((((lab * cd_count) + (cd_count - 1)) * bud_count + k) * w_eff)
-               ~parent:(-1) ~mask:0 ~fault:(-1))
-        done;
-        let rpow = Array.init n (fun i -> ipow r (n - 1 - i)) in
-        let sum_rpow = Array.fold_left ( + ) 0 rpow in
-        let add = Array.make n 0 in
-        let pow2n = 1 lsl n in
-        let lo = ref 0 in
-        while !lo < Vec.length ex.keys do
-          let hi = Vec.length ex.keys in
-          for id = !lo to hi - 1 do
-            let key = Vec.unsafe_get ex.keys id in
-            let phase = key mod ex.w_eff in
-            let rest = key / ex.w_eff in
-            let b = rest mod bud_count in
-            let rest = rest / bud_count in
-            let cd = rest mod cd_count in
-            let lab = rest / cd_count in
-            let forced = ref 0 in
-            for i = 0 to n - 1 do
-              let d = cd / Array.unsafe_get rpow i mod r in
-              Array.unsafe_set add i ((r - d) * Array.unsafe_get rpow i);
-              if d = 0 then forced := !forced lor (1 lsl i)
-            done;
-            let forced = !forced in
-            let base_cd = cd - sum_rpow in
-            let phase' = if ex.w_eff = 1 then 0 else (phase + 1) mod ex.w_eff in
-            let recharge = phase' = 0 in
-            let b_keep = if recharge then k else b in
-            let b_spend = if recharge then k else b - 1 in
-            for mask = 1 to pow2n - 1 do
-              if mask land forced = forced then begin
-                let packed = Trans_cache.step ex.cache ~lab_code:lab ~mask in
-                let lab1 = packed lsr 1 in
-                let changed = packed land 1 in
-                let cdsum = ref base_cd in
-                for i = 0 to n - 1 do
-                  if mask land (1 lsl i) <> 0 then
-                    cdsum := !cdsum + Array.unsafe_get add i
-                done;
-                let cd' = !cdsum in
-                let tail = (cd' * bw) + (b_keep * ex.w_eff) + phase' in
-                (* Fault-free continuation. *)
-                let skey = (lab1 * cd_count * bw) + tail in
-                let succ = intern skey ~parent:id ~mask ~fault:(-1) in
-                Csr.push_edge ex.csr ~succ ~mask ~changed;
-                Vec.push ex.efault (-1);
-                (* One budgeted single-edge rewrite after the step. *)
-                if b > 0 then begin
-                  let tail_f = (cd' * bw) + (b_spend * ex.w_eff) + phase' in
-                  for e = 0 to m - 1 do
-                    let w = ex.weight.(e) in
-                    let cur = lab1 / w mod card in
-                    for c = 0 to card - 1 do
-                      if c <> cur then begin
-                        let lab2 = lab1 + ((c - cur) * w) in
-                        let skey = (lab2 * cd_count * bw) + tail_f in
-                        let fid = (e * card) + c in
-                        let succ = intern skey ~parent:id ~mask ~fault:fid in
-                        (* The changed bit tracks only the protocol step:
-                           adversarial rewrites are not divergence. *)
-                        Csr.push_edge ex.csr ~succ ~mask ~changed;
-                        Vec.push ex.efault fid
-                      end
-                    done
-                  done
-                end
-              end
-            done;
-            Csr.end_row ex.csr
-          done;
-          lo := hi
-        done;
-        last_stats_ref :=
-          Some { states = Vec.length ex.keys; edges = Csr.num_edges ex.csr };
-        Ok ex
-      end
-
-(* Iterative Tarjan over the CSR graph (the augmented graphs this checker
-   targets are small, so the simple explicit-stack form suffices). *)
-let scc_of_explored ex =
-  let count = Vec.length ex.keys in
-  let index = Array.make count (-1) in
-  let lowlink = Array.make count 0 in
-  let on_stack = Array.make count false in
-  let comp = Array.make count (-1) in
-  let stack = Stack.create () in
-  let next_index = ref 0 and next_comp = ref 0 in
-  let call = Stack.create () in
-  let csr = ex.csr in
-  for root = 0 to count - 1 do
-    if index.(root) < 0 then begin
-      Stack.push (root, 0) call;
-      index.(root) <- !next_index;
-      lowlink.(root) <- !next_index;
-      incr next_index;
-      Stack.push root stack;
-      on_stack.(root) <- true;
-      while not (Stack.is_empty call) do
-        let v, child = Stack.pop call in
-        if child < Csr.degree csr v then begin
-          Stack.push (v, child + 1) call;
-          let u = Csr.succ csr v child in
-          if index.(u) < 0 then begin
-            index.(u) <- !next_index;
-            lowlink.(u) <- !next_index;
-            incr next_index;
-            Stack.push u stack;
-            on_stack.(u) <- true;
-            Stack.push (u, 0) call
-          end
-          else if on_stack.(u) then lowlink.(v) <- min lowlink.(v) index.(u)
-        end
-        else begin
-          if lowlink.(v) = index.(v) then begin
-            let continue = ref true in
-            while !continue do
-              let u = Stack.pop stack in
-              on_stack.(u) <- false;
-              comp.(u) <- !next_comp;
-              if u = v then continue := false
-            done;
-            incr next_comp
-          end;
-          if not (Stack.is_empty call) then begin
-            let parent, _ = Stack.top call in
-            lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          end
-        end
+  let m = Protocol.num_edges p in
+  let card = p.Protocol.space.Label.card in
+  let w_eff = if k = 0 then 1 else window in
+  (* weight.(e) = card^(m-1-e): edge 0 most significant. *)
+  let weight = Array.init m (fun e -> Stategraph.ipow card (m - 1 - e)) in
+  let successors ~mask:_ ~adv ~lab emit =
+    let b = adv / w_eff and phase = adv mod w_eff in
+    let phase' = (phase + 1) mod w_eff in
+    let recharge = phase' = 0 in
+    (* Fault-free continuation first. *)
+    emit lab (((if recharge then k else b) * w_eff) + phase') (-1);
+    (* Then one budgeted single-edge rewrite after the step, edge-major. *)
+    if b > 0 then begin
+      let spent = ((if recharge then k else b - 1) * w_eff) + phase' in
+      for e = 0 to m - 1 do
+        let w = weight.(e) in
+        let cur = lab / w mod card in
+        for c = 0 to card - 1 do
+          if c <> cur then emit (lab + ((c - cur) * w)) spent ((e * card) + c)
+        done
       done
     end
-  done;
-  comp
-
-(* Shortest intra-component path src -> dst as (mask, fault) pairs. *)
-let path_within_scc ex comp ~src ~dst =
-  if src = dst then Some []
-  else begin
-    let count = Vec.length ex.keys in
-    let pred = Array.make count (-1) in
-    let pred_mask = Array.make count 0 in
-    let pred_fault = Array.make count (-1) in
-    let queue = Queue.create () in
-    pred.(src) <- src;
-    Queue.add src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      let base = Csr.row_start ex.csr v in
-      let deg = Csr.degree ex.csr v in
-      let j = ref 0 in
-      while (not !found) && !j < deg do
-        let w = Csr.cell ex.csr (base + !j) in
-        let u = Csr.succ_of_word ex.csr w in
-        if comp.(u) = comp.(src) && pred.(u) < 0 then begin
-          pred.(u) <- v;
-          pred_mask.(u) <- Csr.mask_of_word ex.csr w;
-          pred_fault.(u) <- Vec.get ex.efault (base + !j);
-          if u = dst then found := true else Queue.add u queue
-        end;
-        incr j
-      done
-    done;
-    if not !found then None
-    else begin
-      let rec walk v acc =
-        if v = src then acc
-        else walk pred.(v) ((pred_mask.(v), pred_fault.(v)) :: acc)
-      in
-      Some (walk dst [])
-    end
-  end
-
-let fault_of_id ex fid =
-  if fid < 0 then None
-  else Some { edge = fid / ex.card; code = fid mod ex.card }
-
-let steps_of ex pairs =
-  List.map
-    (fun (mask, fid) ->
-      { active = nodes_of_mask ex.n mask; fault = fault_of_id ex fid })
-    pairs
-
-let path_from_root ex id =
-  let rec walk id acc =
-    if Vec.get ex.parent id < 0 then (id, acc)
-    else
-      walk (Vec.get ex.parent id)
-        ((Vec.get ex.parent_mask id, Vec.get ex.parent_fault id) :: acc)
   in
-  let root, pairs = walk id [] in
-  let lab = Vec.get ex.keys root / (ex.cd_count * ex.bud_count * ex.w_eff) in
-  (lab, pairs)
+  match
+    Stategraph.explore p ~input ~r ~max_states
+      {
+        Stategraph.phases = Stategraph.mul_sat (k + 1) w_eff;
+        init = k * w_eff;
+        react = -1;
+        branch = 1;
+        successors;
+      }
+  with
+  | Error _ as too_large -> too_large
+  | Ok (g, _) as explored ->
+      last_stats_ref :=
+        Some
+          { states = Stategraph.num_states g; edges = Stategraph.num_edges g };
+      explored
 
-let make_witness ex ~cycle_entry ~cycle_pairs =
-  let init_code, prefix_pairs = path_from_root ex cycle_entry in
+let witness_of_lasso p g (l : Stategraph.lasso) =
+  let card = p.Protocol.space.Label.card in
+  let step e =
+    let fid = Stategraph.choice g e in
+    {
+      active = Stategraph.nodes_of_mask g.Stategraph.n (Stategraph.mask g e);
+      fault =
+        (if fid < 0 then None
+         else Some { edge = fid / card; code = fid mod card });
+    }
+  in
   {
-    init_code;
-    prefix = steps_of ex prefix_pairs;
-    cycle = steps_of ex cycle_pairs;
+    init_code = l.init_code;
+    prefix = List.map step l.prefix;
+    cycle = List.map step l.cycle;
   }
 
 let check_label p ~input ~r ~k ~window ~max_states =
   match explore p ~input ~r ~k ~window ~max_states with
   | Error needed -> Too_large { needed }
-  | Ok ex -> (
-      let comp = scc_of_explored ex in
-      (* A protocol-changing edge inside an SCC: the protocol can be made
-         to change labels infinitely often. *)
-      let found = ref None in
-      let count = Vec.length ex.keys in
-      let id = ref 0 in
-      while !found == None && !id < count do
-        let base = Csr.row_start ex.csr !id in
-        let deg = Csr.degree ex.csr !id in
-        let cid = comp.(!id) in
-        let j = ref 0 in
-        while !found == None && !j < deg do
-          let w = Csr.cell ex.csr (base + !j) in
-          if Csr.changed_of_word w = 1 then begin
-            let u = Csr.succ_of_word ex.csr w in
-            if comp.(u) = cid then
-              found :=
-                Some
-                  ( !id,
-                    u,
-                    (Csr.mask_of_word ex.csr w, Vec.get ex.efault (base + !j))
-                  )
-          end;
-          incr j
-        done;
-        incr id
-      done;
-      match !found with
+  | Ok (g, _) -> (
+      match Stategraph.label_lasso g (Stategraph.scc g) with
       | None -> Stabilizing
-      | Some (v, u, pair) -> (
-          match path_within_scc ex comp ~src:u ~dst:v with
-          | None -> assert false (* u, v lie in the same SCC *)
-          | Some back ->
-              Oscillating (make_witness ex ~cycle_entry:v ~cycle_pairs:(pair :: back))))
+      | Some l -> Oscillating (witness_of_lasso p g l))
 
 let check_output p ~input ~r ~k ~window ~max_states =
   match explore p ~input ~r ~k ~window ~max_states with
   | Error needed -> Too_large { needed }
-  | Ok ex -> (
-      let comp = scc_of_explored ex in
-      let count = Vec.length ex.keys in
-      (* Outputs depend on the source labeling of an edge and the reacting
-         node, so they are read off the transition cache; two distinct
-         outputs for one node inside one SCC witness output divergence. *)
-      let seen : (int * int, int * (int * (int * int))) Hashtbl.t =
-        Hashtbl.create 1024
-      in
-      let conflict = ref None in
-      let id = ref 0 in
-      while !conflict == None && !id < count do
-        let lab =
-          Vec.unsafe_get ex.keys !id / (ex.cd_count * ex.bud_count * ex.w_eff)
-        in
-        let base = Csr.row_start ex.csr !id in
-        let deg = Csr.degree ex.csr !id in
-        let cid = comp.(!id) in
-        let j = ref 0 in
-        while !conflict == None && !j < deg do
-          let w = Csr.cell ex.csr (base + !j) in
-          let u = Csr.succ_of_word ex.csr w in
-          if comp.(u) = cid then begin
-            let mask = Csr.mask_of_word ex.csr w in
-            let fid = Vec.get ex.efault (base + !j) in
-            List.iter
-              (fun node ->
-                if !conflict == None then begin
-                  let y = Trans_cache.output ex.cache ~lab_code:lab ~node in
-                  match Hashtbl.find_opt seen (cid, node) with
-                  | None ->
-                      Hashtbl.replace seen (cid, node) (y, (!id, (mask, fid)))
-                  | Some (y0, (src0, pair0)) ->
-                      if y0 <> y then
-                        conflict := Some ((src0, pair0), (!id, (mask, fid)), u)
-                end)
-              (nodes_of_mask ex.n mask)
-          end;
-          incr j
-        done;
-        incr id
-      done;
-      match !conflict with
+  | Ok (g, cache) -> (
+      match Stategraph.output_lasso g (Stategraph.scc g) cache with
       | None -> Stabilizing
-      | Some ((src0, (mask0, fid0)), (src1, pair1), dst1) -> (
-          (* Cycle through both conflicting edges:
-             src0 -e0-> dst0 ~~> src1 -e1-> dst1 ~~> src0. *)
-          let dst0 =
-            let base = Csr.row_start ex.csr src0 in
-            let rec find j =
-              let w = Csr.cell ex.csr (base + j) in
-              if
-                Csr.mask_of_word ex.csr w = mask0
-                && Vec.get ex.efault (base + j) = fid0
-                && comp.(Csr.succ_of_word ex.csr w) = comp.(src0)
-              then Csr.succ_of_word ex.csr w
-              else find (j + 1)
-            in
-            find 0
-          in
-          match
-            ( path_within_scc ex comp ~src:dst0 ~dst:src1,
-              path_within_scc ex comp ~src:dst1 ~dst:src0 )
-          with
-          | Some mid, Some back ->
-              let cycle_pairs = ((mask0, fid0) :: mid) @ (pair1 :: back) in
-              Oscillating (make_witness ex ~cycle_entry:src0 ~cycle_pairs)
-          | _ -> assert false))
+      | Some l -> Oscillating (witness_of_lasso p g l))
 
-(* Replay a witness on the boxed engine: protocol step, then the step's
-   adversarial rewrite (if any). The cycle must return to its starting
-   labeling and the *protocol* must either change the labeling inside the
-   cycle or emit two distinct outputs at some node. *)
+(* Both replays play the protocol step, then the step's rewrite (if any). *)
+let steps_of w =
+  let step { active; fault } =
+    {
+      Stategraph.react = active;
+      writes =
+        (match fault with None -> [] | Some { edge; code } -> [ (edge, code) ]);
+    }
+  in
+  (List.map step w.prefix, List.map step w.cycle)
+
 let replay p ~input w =
-  let decode = p.Protocol.space.Label.decode in
-  let apply_step config { active; fault } =
-    let next = Engine.step p ~input config ~active in
-    (match fault with
-    | None -> ()
-    | Some { edge; code } -> next.Protocol.labels.(edge) <- decode code);
-    next
-  in
-  let init = Protocol.decode_config p w.init_code in
-  let at_cycle = List.fold_left apply_step init w.prefix in
-  let start_key = Protocol.config_key p at_cycle in
-  let label_changed = ref false in
-  let output_changed = ref false in
-  let outputs : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let config = ref at_cycle in
-  List.iter
-    (fun s ->
-      let before = Protocol.config_key p !config in
-      List.iter
-        (fun node ->
-          let _, y = Protocol.apply p ~input !config node in
-          match Hashtbl.find_opt outputs node with
-          | None -> Hashtbl.replace outputs node y
-          | Some y0 -> if y0 <> y then output_changed := true)
-        s.active;
-      (* Protocol divergence is judged on the protocol step alone, before
-         the step's adversarial rewrite is applied. *)
-      let stepped = Engine.step p ~input !config ~active:s.active in
-      if not (String.equal before (Protocol.config_key p stepped)) then
-        label_changed := true;
-      (match s.fault with
-      | None -> ()
-      | Some { edge; code } ->
-          stepped.Protocol.labels.(edge) <- decode code);
-      config := stepped)
-    w.cycle;
-  let returns = String.equal start_key (Protocol.config_key p !config) in
-  returns && (!label_changed || !output_changed)
+  let prefix, cycle = steps_of w in
+  Stategraph.replay p ~input ~init_code:w.init_code ~prefix ~cycle
 
-(* The packed twin of {!replay}: the same judgement through
-   {!Kernel.step_into} on int label codes — a witness must reproduce the
-   divergence on both execution engines. *)
 let replay_packed p ~input w =
-  let n = Protocol.num_nodes p in
-  let m = Protocol.num_edges p in
-  let kern = Kernel.create p ~input in
-  let src = Array.make m 0 and dst = Array.make m 0 in
-  let src_o = Array.make n 0 and dst_o = Array.make n 0 in
-  Kernel.load kern (Protocol.decode_config p w.init_code) ~labels:src
-    ~outputs:src_o;
-  let sref = ref src and dref = ref dst in
-  let soref = ref src_o and doref = ref dst_o in
-  let label_changed = ref false in
-  let output_changed = ref false in
-  let outputs : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let do_step ~judge { active; fault } =
-    Kernel.step_into kern ~src:!sref ~src_outputs:!soref ~dst:!dref
-      ~dst_outputs:!doref ~active;
-    if judge then begin
-      let changed = ref false in
-      for e = 0 to m - 1 do
-        if !dref.(e) <> !sref.(e) then changed := true
-      done;
-      if !changed then label_changed := true;
-      List.iter
-        (fun node ->
-          let y = !doref.(node) in
-          match Hashtbl.find_opt outputs node with
-          | None -> Hashtbl.replace outputs node y
-          | Some y0 -> if y0 <> y then output_changed := true)
-        active
-    end;
-    (match fault with
-    | None -> ()
-    | Some { edge; code } -> !dref.(edge) <- code);
-    let tl = !sref and tlo = !soref in
-    sref := !dref;
-    soref := !doref;
-    dref := tl;
-    doref := tlo
-  in
-  List.iter (do_step ~judge:false) w.prefix;
-  let start = Array.copy !sref in
-  List.iter (do_step ~judge:true) w.cycle;
-  let returns = ref true in
-  for e = 0 to m - 1 do
-    if start.(e) <> !sref.(e) then returns := false
-  done;
-  !returns && (!label_changed || !output_changed)
+  let prefix, cycle = steps_of w in
+  Stategraph.replay_packed p ~input ~init_code:w.init_code ~prefix ~cycle

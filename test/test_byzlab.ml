@@ -294,6 +294,103 @@ let test_containment_k3 () =
             (Byzcheck.replay p ~input ~byz:[ 0 ] w)
       | None -> Alcotest.fail "a diverging node must carry a witness")
 
+(* ------------------------------------------------------------------ *)
+(* Golden witnesses                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact verdicts, witnesses (with their writes), graph sizes and the
+   containment report, recorded before the certifiers' post-exploration
+   passes were shared: any change to state ids, edge order or the lasso
+   construction shows up here. *)
+let show_steps steps =
+  String.concat ";"
+    (List.map
+       (fun s ->
+         String.concat "," (List.map string_of_int s.Byzcheck.active)
+         ^ String.concat ""
+             (List.map
+                (fun w ->
+                  Printf.sprintf "/%d:%d" w.Byzcheck.edge w.Byzcheck.code)
+                s.Byzcheck.writes))
+       steps)
+
+let show_witness w =
+  Printf.sprintf "init=%d prefix=[%s] cycle=[%s]" w.Byzcheck.init_code
+    (show_steps w.Byzcheck.prefix)
+    (show_steps w.Byzcheck.cycle)
+
+let show_verdict = function
+  | Byzcheck.Stabilizing -> "stabilizing"
+  | Byzcheck.Too_large { needed } -> Printf.sprintf "too_large %d" needed
+  | Byzcheck.Oscillating w -> "oscillating " ^ show_witness w
+
+let show_stats () =
+  match Byzcheck.last_stats () with
+  | None -> "no stats"
+  | Some s ->
+      Printf.sprintf "states=%d edges=%d" s.Byzcheck.states s.Byzcheck.edges
+
+let test_golden_witnesses () =
+  let replays name p ~input ~byz w =
+    check_bool (name ^ " replays (boxed)") true
+      (Byzcheck.replay p ~input ~byz w);
+    check_bool (name ^ " replays (packed)") true
+      (Byzcheck.replay_packed p ~input ~byz w)
+  in
+  let golden name p ~input ~byz run expect =
+    let v = run p ~input ~byz in
+    Alcotest.(check string)
+      name expect
+      (show_verdict v ^ " | " ^ show_stats ());
+    match v with
+    | Byzcheck.Oscillating w -> replays name p ~input ~byz w
+    | _ -> ()
+  in
+  let k3 = Clique_example.make 3 and k3_in = Clique_example.input 3 in
+  let ring = Proptest.copy_ring ~name:"copy_ring_3" 3 in
+  let ring_in = Array.make 3 () in
+  golden "clique_k3 output B={0}" k3 ~input:k3_in ~byz:[ 0 ]
+    (Byzcheck.check_output ~r:1 ~max_states:1_000_000)
+    "oscillating init=3 prefix=[] cycle=[0,1,2/0:0/1:0;0,1,2/0:0/1:0] | states=64 edges=256";
+  golden "clique_k3 output B={0,1}" k3 ~input:k3_in ~byz:[ 0; 1 ]
+    (Byzcheck.check_output ~r:1 ~max_states:1_000_000)
+    "oscillating init=0 prefix=[] cycle=[0,1,2/0:0/1:0/2:0/3:0;0,1,2/0:0/1:0/2:0/3:1;0,1,2/0:0/1:0/2:0/3:0;0,1,2/0:0/1:0/2:0/3:0] | states=64 edges=1024";
+  golden "copy_ring_3 label B={0}" ring ~input:ring_in ~byz:[ 0 ]
+    (Byzcheck.check_label ~r:1 ~max_states:1_000_000)
+    "oscillating init=1 prefix=[] cycle=[0,1,2/0:0;0,1,2/0:1;0,1,2/0:0;0,1,2/0:0] | states=8 edges=16";
+  match
+    Byzcheck.containment k3 ~input:k3_in ~byz:[ 0 ] ~r:1
+      ~max_states:1_000_000
+  with
+  | Error needed -> Alcotest.failf "containment too large: %d" needed
+  | Ok c ->
+      let fates =
+        String.concat ";"
+          (List.map
+             (fun f ->
+               Printf.sprintf "%d@%d:%b" f.Byzcheck.node f.Byzcheck.distance
+                 f.Byzcheck.stabilizes)
+             c.Byzcheck.fates)
+      in
+      let got =
+        Printf.sprintf
+          "byz=[%s] fates=[%s] fraction=%g radius=%s witness=%s | %s"
+          (String.concat "," (List.map string_of_int c.Byzcheck.byz))
+          fates c.Byzcheck.stabilized_fraction
+          (match c.Byzcheck.radius with
+          | None -> "none"
+          | Some r -> string_of_int r)
+          (match c.Byzcheck.witness with
+          | None -> "none"
+          | Some w -> show_witness w)
+          (show_stats ())
+      in
+      Alcotest.(check string) "containment K3 B={0}"
+        "byz=[0] fates=[1@1:false;2@1:false] fraction=0 radius=1 witness=init=3 prefix=[] cycle=[0,1,2/0:0/1:0;0,1,2/0:0/1:0] | states=64 edges=256"
+        got;
+      Option.iter (replays "containment witness" k3 ~input:k3_in ~byz:[ 0 ])
+        c.Byzcheck.witness
+
 let test_containment_fully_contained () =
   let p = Proptest.copy_ring ~name:"copy-ring-byz-contained" 3 in
   let input = Array.make 3 () in
@@ -448,6 +545,7 @@ let () =
           Alcotest.test_case "containment fully contained" `Quick
             test_containment_fully_contained;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "golden witnesses" `Quick test_golden_witnesses;
         ] );
       ( "campaigns",
         [

@@ -691,6 +691,103 @@ let test_stateset_reset_shrinks_wasteful_retention () =
   Stateset.add s ~key:12345 ~id:7;
   check "add after shrink" 7 (Stateset.find s 12345)
 
+let test_r_below_one_rejected () =
+  let p = Clique_example.make 3 and input = Clique_example.input 3 in
+  let rejects name f =
+    List.iter
+      (fun r ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s r=%d" name r)
+          (Invalid_argument "Checker: r must be >= 1")
+          (fun () -> ignore (f ~r)))
+      [ 0; -1 ]
+  in
+  rejects "check_label" (Checker.check_label p ~input ~max_states:1000);
+  rejects "check_output" (Checker.check_output p ~input ~max_states:1000);
+  rejects "Naive.check_label"
+    (Checker.Naive.check_label p ~input ~max_states:1000);
+  rejects "Naive.check_output"
+    (Checker.Naive.check_output p ~input ~max_states:1000)
+
+(* The CLI turns a non-positive [check -r] into a usage error (exit 124)
+   before any exploration starts. *)
+let test_cli_check_r_zero () =
+  let out = Filename.temp_file "check_r0" ".out" in
+  let cli =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../bin/stateless_cli.exe"
+  in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s check -r 0 -n 3 > %s 2>&1" (Filename.quote cli)
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  check "exit code" 124 code;
+  Alcotest.(check string)
+    "usage message" "stateless: option '-r': 0 is not a positive integer"
+    (List.hd (String.split_on_char '\n' text))
+
+(* ------------------------------------------------------------------ *)
+(* Golden witnesses                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact verdicts, witnesses and states-graph sizes, recorded before the
+   certifiers' post-exploration passes were shared: a refactor that moves
+   SCC numbering, state ids, edge order or the lasso construction changes
+   one of these strings. *)
+let show_sets sets =
+  String.concat ";"
+    (List.map (fun s -> String.concat "," (List.map string_of_int s)) sets)
+
+let show_verdict = function
+  | Checker.Stabilizing -> "stabilizing"
+  | Checker.Too_large { needed } -> Printf.sprintf "too_large %d" needed
+  | Checker.Oscillating w ->
+      Printf.sprintf "oscillating init=%d prefix=[%s] cycle=[%s]"
+        w.Checker.init_code (show_sets w.Checker.prefix)
+        (show_sets w.Checker.cycle)
+
+let show_stats () =
+  match Checker.last_stats () with
+  | None -> "no stats"
+  | Some s ->
+      Printf.sprintf "states=%d full=%d edges=%d" s.Checker.states
+        s.Checker.full_states s.Checker.edges
+
+let test_golden_witnesses () =
+  let k3 = Clique_example.make 3 and k3_in = Clique_example.input 3 in
+  let k4 = Clique_example.make 4 and k4_in = Clique_example.input 4 in
+  let sym4 = Stateless_checker.Symmetry.clique k4.Protocol.graph in
+  let golden name p input run expect =
+    let v = run () in
+    Alcotest.(check string)
+      name expect
+      (show_verdict v ^ " | " ^ show_stats ());
+    match v with
+    | Checker.Oscillating w ->
+        check_bool (name ^ " replays") true (Checker.replay p ~input w)
+    | _ -> ()
+  in
+  golden "K3 r=2 label" k3 k3_in
+    (fun () -> Checker.check_label k3 ~input:k3_in ~r:2 ~max_states:100_000)
+    "oscillating init=1 prefix=[1,2] cycle=[0,1;0,2;1,2] | states=139 full=139 edges=652";
+  golden "K3 r=2 output" k3 k3_in
+    (fun () -> Checker.check_output k3 ~input:k3_in ~r:2 ~max_states:100_000)
+    "oscillating init=2 prefix=[0,2] cycle=[0,1;1,2;0,2] | states=139 full=139 edges=652";
+  golden "K4 r=2 label, symmetric" k4 k4_in
+    (fun () ->
+      Checker.check_label ~symmetry:sym4 k4 ~input:k4_in ~r:2
+        ~max_states:5_000_000)
+    "stabilizing | states=369 full=6852 edges=3706";
+  golden "K4 r=3 label, symmetric" k4 k4_in
+    (fun () ->
+      Checker.check_label ~symmetry:sym4 k4 ~input:k4_in ~r:3
+        ~max_states:5_000_000)
+    "oscillating init=1 prefix=[0;2,3] cycle=[1,2;0,1;0,3;2,3] | states=590 full=10988 edges=6347"
+
 let () =
   Alcotest.run "stateless_checker"
     [
@@ -711,6 +808,9 @@ let () =
           Alcotest.test_case "theorem 3.1 on copy ring" `Quick
             test_theorem31_on_copy_ring_bi;
           Alcotest.test_case "too large reported" `Quick test_too_large_reported;
+          Alcotest.test_case "r < 1 rejected" `Quick test_r_below_one_rejected;
+          Alcotest.test_case "cli check -r 0 is a usage error" `Quick
+            test_cli_check_r_zero;
         ] );
       ( "output",
         [
@@ -723,6 +823,7 @@ let () =
         ] );
       ( "witness",
         [
+          Alcotest.test_case "golden witnesses" `Quick test_golden_witnesses;
           Alcotest.test_case "cycle schedule r-fair" `Quick
             test_witness_schedule_is_r_fair;
           Alcotest.test_case "steps nonempty" `Quick test_witness_nonempty_steps;

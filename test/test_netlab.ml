@@ -315,6 +315,62 @@ let test_netcheck_too_large () =
   | _ -> Alcotest.fail "expected Too_large"
 
 (* ------------------------------------------------------------------ *)
+(* Golden witnesses                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact verdicts, witnesses (with their faults) and graph sizes, recorded
+   before the certifiers' post-exploration passes were shared: any change
+   to state ids, edge order or the lasso construction shows up here. *)
+let show_steps steps =
+  String.concat ";"
+    (List.map
+       (fun s ->
+         String.concat "," (List.map string_of_int s.Netcheck.active)
+         ^
+         match s.Netcheck.fault with
+         | None -> ""
+         | Some f -> Printf.sprintf "/%d:%d" f.Netcheck.edge f.Netcheck.code)
+       steps)
+
+let show_verdict = function
+  | Netcheck.Stabilizing -> "stabilizing"
+  | Netcheck.Too_large { needed } -> Printf.sprintf "too_large %d" needed
+  | Netcheck.Oscillating w ->
+      Printf.sprintf "oscillating init=%d prefix=[%s] cycle=[%s]"
+        w.Netcheck.init_code (show_steps w.Netcheck.prefix)
+        (show_steps w.Netcheck.cycle)
+
+let test_golden_witnesses () =
+  let golden name p ~input run expect =
+    let v = run p ~input in
+    let stats =
+      match Netcheck.last_stats () with
+      | None -> "no stats"
+      | Some s ->
+          Printf.sprintf "states=%d edges=%d" s.Netcheck.states
+            s.Netcheck.edges
+    in
+    Alcotest.(check string) name expect (show_verdict v ^ " | " ^ stats);
+    match v with
+    | Netcheck.Oscillating w ->
+        check_bool (name ^ " replays (boxed)") true
+          (Netcheck.replay p ~input w);
+        check_bool (name ^ " replays (packed)") true
+          (Netcheck.replay_packed p ~input w)
+    | _ -> ()
+  in
+  let k3 = Clique_example.make 3 and k3_in = Clique_example.input 3 in
+  golden "clique_k3 output k=1 w=1" k3 ~input:k3_in
+    (Netcheck.check_output ~r:1 ~k:1 ~window:1 ~max_states:100_000)
+    "oscillating init=1 prefix=[] cycle=[0,1,2/2:0;0,1,2/5:0;0,1,2/0:0;0,1,2/4:0] | states=64 edges=448";
+  golden "clique_k3 label k=1 w=3" k3 ~input:k3_in
+    (Netcheck.check_label ~r:1 ~k:1 ~window:3 ~max_states:100_000)
+    "oscillating init=31 prefix=[] cycle=[0,1,2;0,1,2;0,1,2/0:0] | states=132 edges=594";
+  golden "copy_ring_3 label k=1 w=1" (copy_ring_uni 3) ~input:(Array.make 3 ())
+    (Netcheck.check_label ~r:1 ~k:1 ~window:1 ~max_states:100_000)
+    "oscillating init=1 prefix=[] cycle=[0,1,2;0,1,2;0,1,2] | states=8 edges=32"
+
+(* ------------------------------------------------------------------ *)
 (* Adversary: witnesses verify, search is domain-deterministic         *)
 (* ------------------------------------------------------------------ *)
 
@@ -475,6 +531,7 @@ let () =
           Alcotest.test_case "witness replay roundtrip" `Quick
             test_witness_replay_roundtrip;
           Alcotest.test_case "budget exceeded" `Quick test_netcheck_too_large;
+          Alcotest.test_case "golden witnesses" `Quick test_golden_witnesses;
         ] );
       ( "adversary",
         [
