@@ -43,96 +43,15 @@ type ('x, 'l) explored = {
   cd_count : int;  (* r^n *)
   pow2n : int;
   cache : ('x, 'l) Trans_cache.t;  (* for post-hoc output reads *)
-  sym : symctx option;  (* set when exploring the symmetry quotient *)
+  sym : Canon.t option;  (* set when exploring the symmetry quotient *)
 }
-
-(* Precomputed canonicalization tables for a node-automorphism group.
-
-   The action of element [g] on a state key is linear in the key's
-   mixed-radix digits: the label digit at edge [e] (place value
-   [card^(m-1-e)], times [cd_count] since labels sit above countdowns)
-   moves to edge [edge_perm g e], and the countdown digit of node [i]
-   (place value [r^(n-1-i)]) moves to node [node_perm g i]. So
-   [key_of (g . s) = Σ_d digit_d(s) * w.(g).(d)] over the [m + n] digits,
-   with the weights below — one dot product per group element, no state
-   materialization. The canonical representative of an orbit is the
-   minimum such key. *)
-and symctx = {
-  sy : Symmetry.t;
-  gcount : int;
-  sym_m : int;
-  w : int array array;  (* g -> digit -> place value after permuting *)
-  sym_card : int;
-}
-
-let make_symctx sy ~card ~r ~cd_count ~m ~n =
-  let nps = Symmetry.node_perms sy and eps = Symmetry.edge_perms sy in
-  let gcount = Array.length nps in
-  let w =
-    Array.init gcount (fun g ->
-        Array.init (m + n) (fun d ->
-            if d < m then ipow card (m - 1 - eps.(g).(d)) * cd_count
-            else ipow r (n - 1 - nps.(g).(d - m))))
-  in
-  { sy; gcount; sym_m = m; w; sym_card = card }
-
-(* Decompose [key] into its [m + n] digits (into [digits], a per-domain
-   scratch) and return the orbit minimum. Element 0 is the identity, whose
-   dot product is [key] itself. *)
-let canon_key sctx ~r ~cd_count ~n digits key =
-  let m = sctx.sym_m and card = sctx.sym_card in
-  let lab = ref (key / cd_count) and cd = ref (key mod cd_count) in
-  for e = m - 1 downto 0 do
-    Array.unsafe_set digits e (!lab mod card);
-    lab := !lab / card
-  done;
-  for i = n - 1 downto 0 do
-    Array.unsafe_set digits (m + i) (!cd mod r);
-    cd := !cd / r
-  done;
-  let best = ref key in
-  let mn = m + n in
-  for g = 1 to sctx.gcount - 1 do
-    let wg = Array.unsafe_get sctx.w g in
-    let acc = ref 0 in
-    for d = 0 to mn - 1 do
-      acc := !acc + (Array.unsafe_get digits d * Array.unsafe_get wg d)
-    done;
-    if !acc < !best then best := !acc
-  done;
-  !best
-
-(* Orbit size of the canonical state [key], by orbit-stabilizer: count the
-   elements that fix it. Called once per interned state. *)
-let orbit_size sctx ~r ~cd_count ~n digits key =
-  let m = sctx.sym_m and card = sctx.sym_card in
-  let lab = ref (key / cd_count) and cd = ref (key mod cd_count) in
-  for e = m - 1 downto 0 do
-    Array.unsafe_set digits e (!lab mod card);
-    lab := !lab / card
-  done;
-  for i = n - 1 downto 0 do
-    Array.unsafe_set digits (m + i) (!cd mod r);
-    cd := !cd / r
-  done;
-  let stab = ref 1 in
-  let mn = m + n in
-  for g = 1 to sctx.gcount - 1 do
-    let wg = Array.unsafe_get sctx.w g in
-    let acc = ref 0 in
-    for d = 0 to mn - 1 do
-      acc := !acc + (Array.unsafe_get digits d * Array.unsafe_get wg d)
-    done;
-    if !acc = key then incr stab
-  done;
-  sctx.gcount / !stab
 
 (* Expand states [a, b) of [ex] into flat per-chunk buffers: for each state,
    its admissible transitions as (successor key, mask * 2 + changed) pairs in
    ascending mask order, preceded by nothing and counted in [ecnt]. Pure
    w.r.t. the shared tables ([keys] is only read below [b]), so disjoint
    ranges may run in parallel domains, each with its own memo [cache]. *)
-let expand_range ex cache ~rpow ~sum_rpow ~add ~sym_digits ~ecnt ~edata a b =
+let expand_range ex cache ~rpow ~sum_rpow ~add ~sym ~ecnt ~edata a b =
   let n = ex.g.n and r = ex.r and cd_count = ex.cd_count in
   for id = a to b - 1 do
     let key = Vec.unsafe_get ex.g.keys id in
@@ -158,9 +77,9 @@ let expand_range ex cache ~rpow ~sum_rpow ~add ~sym_digits ~ecnt ~edata a b =
         done;
         let skey = (next_lab * cd_count) + !cdsum in
         let skey =
-          match ex.sym with
+          match sym with
           | None -> skey
-          | Some sctx -> canon_key sctx ~r ~cd_count ~n sym_digits skey
+          | Some (cn, sc) -> Canon.canon cn sc skey
         in
         Vec.push edata skey;
         Vec.push edata ((mask lsl 1) lor (packed land 1));
@@ -176,6 +95,9 @@ let expand_range ex cache ~rpow ~sum_rpow ~add ~sym_digits ~ecnt ~edata a b =
    expanded range-by-range (optionally split across [domains] domains) and
    then interned by a single sequential pass in id order — state ids,
    parents and hence witnesses are identical for every domain count. *)
+(* State vectors at or below this many slots are never shrunk. *)
+let capacity_floor = 1 lsl 16
+
 (* Per-domain scratch reused across explorations, so repeated [check_*]
    calls (parameter sweeps, [max_stabilizing_r], benchmarks) run
    allocation-light. Sound because no exported function retains the
@@ -183,23 +105,26 @@ let expand_range ex cache ~rpow ~sum_rpow ~add ~sym_digits ~ecnt ~edata a b =
 
    Invariant between calls: [sc_set] remembers which keys it interned
    (exploration adds through it, so the record stays accurate even if a
-   reaction function raises mid-call). *)
+   reaction function raises mid-call). The state vectors, the CSR
+   buffers and the transition-cache store shrink when they retain more
+   than 8x what the previous exploration used, as [sc_set]'s hashed table
+   does (see {!Vec.recycle}, {!Csr.reset} and {!Trans_cache.create}). *)
 type scratch = {
-  mutable sc_n : int;  (* node count the csr packing was built for *)
-  mutable sc_keys : int Vec.t;
-  mutable sc_parent : int Vec.t;
-  mutable sc_csr : Csr.t;
+  sc_keys : int Vec.t;
+  sc_parent : int Vec.t;
+  sc_csr : Csr.t;
   sc_set : Stateset.t;
+  sc_store : Trans_cache.store;  (* domain 0's transition cache *)
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       {
-        sc_n = -1;
         sc_keys = Vec.create ~capacity:0 ~dummy:0 ();
         sc_parent = Vec.create ~capacity:0 ~dummy:(-1) ();
         sc_csr = Csr.create ~n:1 ~capacity:0 ();
         sc_set = Stateset.create ();
+        sc_store = Trans_cache.store ();
       })
 
 let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
@@ -228,26 +153,19 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                   "Checker: protocol is not equivariant under the symmetry \
                    group";
               let card = p.Protocol.space.Stateless_core.Label.card in
-              Some (make_symctx sy ~card ~r ~cd_count ~m ~n)
+              Some (Canon.make sy ~card ~r)
         in
         let capacity = min total 65536 in
-        (* Out-degree is at most 2^n - 1, so for small spaces this sizes the
-           edge buffer exactly; large spaces start at 128K cells and double. *)
-        let edge_capacity = min (capacity * ((1 lsl n) - 1)) (1 lsl 17) in
         let sc = Domain.DLS.get scratch_key in
         (* Forget the previous exploration's keys (the set un-marks only
            the states that run reached, or switches to hashing when the
            universe outgrows the direct-map budget). *)
         Stateset.reset sc.sc_set ~universe:total;
-        Vec.clear sc.sc_keys;
-        Vec.clear sc.sc_parent;
+        Vec.recycle sc.sc_keys ~floor:capacity_floor;
+        Vec.recycle sc.sc_parent ~floor:capacity_floor;
         Vec.reserve sc.sc_keys capacity;
         Vec.reserve sc.sc_parent capacity;
-        if sc.sc_n <> n then begin
-          sc.sc_n <- n;
-          sc.sc_csr <- Csr.create ~n ~capacity ~edge_capacity ()
-        end
-        else Csr.reset sc.sc_csr;
+        Csr.reset sc.sc_csr ~n;
         let keys = sc.sc_keys and parents = sc.sc_parent and csr = sc.sc_csr in
         let ex =
           {
@@ -264,7 +182,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
             r;
             cd_count;
             pow2n = 1 lsl n;
-            cache = Trans_cache.create p ~input ~lab_count;
+            cache = Trans_cache.create sc.sc_store p ~input ~lab_count;
             sym = symc;
           }
         in
@@ -284,10 +202,11 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
            interned representatives — the size of the unreduced reachable
            graph the quotient stands for. *)
         let full = ref 0 in
-        (* Per-domain digit scratch for canonicalization. *)
-        let sdigits =
-          Array.init domains (fun _ ->
-              Array.make (if symc = None then 0 else m + n) 0)
+        (* Per-domain canonicalization scratch. *)
+        let sbufs =
+          match symc with
+          | None -> [||]
+          | Some cn -> Array.init domains (fun _ -> Canon.scratch cn)
         in
         let intern key ~parent =
           let id =
@@ -302,8 +221,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
             Vec.push parents parent;
             (match symc with
             | None -> ()
-            | Some sctx ->
-                full := !full + orbit_size sctx ~r ~cd_count ~n sdigits.(0) key);
+            | Some cn -> full := !full + Canon.orbit_size cn sbufs.(0) key);
             id
           end
         in
@@ -314,47 +232,16 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
               ignore
                 (intern ((lab_code * cd_count) + (cd_count - 1)) ~parent:(-1))
             done
-        | Some sctx ->
-            (* Every node permutation fixes the all-(r-1) countdown vector,
-               so a full-countdown state is canonical iff its labeling code
-               is minimal in its orbit. Early-exit on the first smaller
-               image: most non-canonical labelings die on the first group
-               element, making the scan nearly linear in [lab_count]. *)
-            let digits = sdigits.(0) in
-            let card = sctx.sym_card in
-            for lab_code = 0 to lab_count - 1 do
-              let lab = ref lab_code in
-              for e = m - 1 downto 0 do
-                Array.unsafe_set digits e (!lab mod card);
-                lab := !lab / card
-              done;
-              (* Lab weights in [w] carry the [cd_count] factor, so compare
-                 against the full-key lab contribution. *)
-              let target = lab_code * cd_count in
-              let canonical = ref true in
-              let g = ref 1 in
-              while !canonical && !g < sctx.gcount do
-                let wg = Array.unsafe_get sctx.w !g in
-                let acc = ref 0 in
-                for e = 0 to m - 1 do
-                  acc :=
-                    !acc + (Array.unsafe_get digits e * Array.unsafe_get wg e)
-                done;
-                if !acc < target then canonical := false;
-                incr g
-              done;
-              if !canonical then
-                ignore
-                  (intern
-                     ((lab_code * cd_count) + (cd_count - 1))
-                     ~parent:(-1))
-            done);
+        | Some cn ->
+            Canon.iter_initial cn sbufs.(0) ~lab_count (fun key ->
+                ignore (intern key ~parent:(-1))));
         (* The per-domain worker state only exists when parallel expansion
            is possible; the sequential path runs fused and buffer-free. *)
         let caches =
           Array.init domains (fun c ->
               if c = 0 then ex.cache
-              else Trans_cache.create p ~input ~lab_count)
+              else
+                Trans_cache.create (Trans_cache.store ()) p ~input ~lab_count)
         in
         let adds = Array.init domains (fun _ -> Array.make n 0) in
         let ecnts =
@@ -452,8 +339,7 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                   let skey =
                     match symc with
                     | None -> skey
-                    | Some sctx ->
-                        canon_key sctx ~r ~cd_count ~n sdigits.(0) skey
+                    | Some cn -> Canon.canon cn sbufs.(0) skey
                   in
                   let sid =
                     if use_direct then Array.unsafe_get direct skey
@@ -468,10 +354,8 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                       Vec.push parents id;
                       (match symc with
                       | None -> ()
-                      | Some sctx ->
-                          full :=
-                            !full
-                            + orbit_size sctx ~r ~cd_count ~n sdigits.(0) skey);
+                      | Some cn ->
+                          full := !full + Canon.orbit_size cn sbufs.(0) skey);
                       sid
                     end
                   in
@@ -492,8 +376,8 @@ let explore ?(domains = 1) ?symmetry p ~input ~r ~max_states =
                claim any chunk, and a chunk is claimed exactly once. *)
             Pool.run ~domains:nchunks ~nchunks (fun ~slot:_ c ->
                 expand_range ex caches.(c) ~rpow ~sum_rpow ~add:adds.(c)
-                  ~sym_digits:sdigits.(c) ~ecnt:ecnts.(c) ~edata:edatas.(c)
-                  (bound c) (bound (c + 1)));
+                  ~sym:(Option.map (fun cn -> (cn, sbufs.(c))) symc)
+                  ~ecnt:ecnts.(c) ~edata:edatas.(c) (bound c) (bound (c + 1)));
             (* Sequential interning pass, in expanding-state order. *)
             let id = ref !lo in
             for c = 0 to nchunks - 1 do
@@ -555,38 +439,13 @@ let witness_of_lasso (g : Stategraph.t) (l : Stategraph.lasso) =
    orbit-size traversals. Every traversal crosses the lifted image of the
    Q-cycle's label-changing edge — the changed bit is G-invariant — so the
    closed real loop replays as a genuine oscillation. *)
-let make_witness_sym ex sctx (l : Stategraph.lasso) =
+let make_witness_sym ex cn (l : Stategraph.lasso) =
   let n = ex.g.n and r = ex.r and cd_count = ex.cd_count in
-  let m = sctx.sym_m and card = sctx.sym_card in
-  let digits = Array.make (m + n) 0 in
-  let nps = Symmetry.node_perms sctx.sy in
+  let sc = Canon.scratch cn in
+  let nps = Symmetry.node_perms (Canon.group cn) in
   let rpow = Array.init n (fun i -> ipow r (n - 1 - i)) in
-  (* Index of a group element mapping real state [key] onto its canonical
-     form; 0 (identity) when [key] is already canonical. *)
-  let g_star key =
-    let lab = ref (key / cd_count) and cd = ref (key mod cd_count) in
-    for e = m - 1 downto 0 do
-      digits.(e) <- !lab mod card;
-      lab := !lab / card
-    done;
-    for i = n - 1 downto 0 do
-      digits.(m + i) <- !cd mod r;
-      cd := !cd / r
-    done;
-    let best = ref key and bg = ref 0 in
-    for g = 1 to sctx.gcount - 1 do
-      let wg = sctx.w.(g) in
-      let acc = ref 0 in
-      for d = 0 to m + n - 1 do
-        acc := !acc + (digits.(d) * wg.(d))
-      done;
-      if !acc < !best then begin
-        best := !acc;
-        bg := g
-      end
-    done;
-    !bg
-  in
+  (* A group element mapping real state [key] onto its canonical form. *)
+  let g_star key = Canon.to_canon cn sc key in
   (* Lift one Q-step taken at [canon key] with [qmask]: the real mask, and
      the real successor state. *)
   let step_lift key qmask =
@@ -650,7 +509,7 @@ let check_label ?domains ?symmetry p ~input ~r ~max_states =
           Oscillating
             (match ex.sym with
             | None -> witness_of_lasso ex.g l
-            | Some sctx -> make_witness_sym ex sctx l))
+            | Some cn -> make_witness_sym ex cn l))
 
 let check_output ?domains p ~input ~r ~max_states =
   match explore ?domains p ~input ~r ~max_states with
@@ -722,7 +581,9 @@ let worst_case_recovery ?(domains = 1) p ~input ~max_states =
   | Some count when count > max_states -> Recovery_too_large { needed = count }
   | Some count ->
       let sweep lo hi =
-      let cache = Trans_cache.create p ~input ~lab_count:count in
+      let cache =
+        Trans_cache.create (Trans_cache.store ()) p ~input ~lab_count:count
+      in
       let full_mask = (1 lsl n) - 1 in
       let succ = Array.make count (-1) in
       let succ_of l =

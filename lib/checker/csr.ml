@@ -13,32 +13,43 @@
    the buffer directly through unsafe accessors. *)
 
 type t = {
-  shift : int;  (* n + 1: bits holding (mask << 1) | changed *)
-  max_succ : int;  (* largest id packable without overflow *)
+  mutable shift : int;  (* n + 1: bits holding (mask << 1) | changed *)
+  mutable max_succ : int;  (* largest id packable without overflow *)
   offsets : int Vec.t;  (* row boundaries; offsets.(0) = 0 *)
   cells : int Vec.t;  (* packed edge words *)
 }
 
-let create ~n ?(capacity = 16) ?edge_capacity () =
-  if n < 1 || n > 20 then invalid_arg "Csr.create: need 1 <= n <= 20";
-  let shift = n + 1 in
-  let offsets = Vec.create ~capacity:(capacity + 1) ~dummy:0 () in
-  Vec.push offsets 0;
-  let edge_capacity =
-    match edge_capacity with Some c -> c | None -> 4 * capacity
-  in
-  {
-    shift;
-    max_succ = (max_int lsr shift) - 1;
-    offsets;
-    cells = Vec.create ~capacity:edge_capacity ~dummy:0 ();
-  }
+(* Buffers at or below these sizes are never shrunk by [reset]. *)
+let row_floor = 1 lsl 16
+let edge_floor = 1 lsl 19
 
-(* Forget all rows but keep the allocated buffers for reuse. *)
-let reset t =
-  Vec.clear t.offsets;
+let pack t ~n =
+  if n < 1 || n > 20 then invalid_arg "Csr: need 1 <= n <= 20";
+  t.shift <- n + 1;
+  t.max_succ <- (max_int lsr t.shift) - 1
+
+let create ~n ?(capacity = 16) () =
+  let t =
+    {
+      shift = 1;
+      max_succ = 0;
+      offsets = Vec.create ~capacity:(capacity + 1) ~dummy:0 ();
+      cells = Vec.create ~capacity:(4 * capacity) ~dummy:0 ();
+    }
+  in
+  pack t ~n;
   Vec.push t.offsets 0;
-  Vec.clear t.cells
+  t
+
+(* Forget all rows and re-pack for [n] nodes, keeping the buffers unless
+   they waste more than 8x the previous graph's size. *)
+let reset t ~n =
+  pack t ~n;
+  Vec.recycle t.offsets ~floor:row_floor;
+  Vec.push t.offsets 0;
+  Vec.recycle t.cells ~floor:edge_floor
+
+let edge_capacity t = Vec.capacity t.cells
 
 let rows t = Vec.length t.offsets - 1
 let num_edges t = Vec.length t.cells

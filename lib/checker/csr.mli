@@ -15,15 +15,24 @@
 
 type t
 
-(** [create ~n ?capacity ?edge_capacity ()] for a protocol on [n] nodes;
-    [capacity] (default 16) and [edge_capacity] (default [4 * capacity])
-    are row/edge preallocation hints.
+(** [create ~n ?capacity ()] for a protocol on [n] nodes; [capacity]
+    (default 16) preallocates that many rows and [4 * capacity] edges.
     @raise Invalid_argument unless [1 <= n <= 20] (the packing needs
     [n + 1] low bits per word). *)
-val create : n:int -> ?capacity:int -> ?edge_capacity:int -> unit -> t
+val create : n:int -> ?capacity:int -> unit -> t
 
-(** Forget all rows but keep the allocated buffers for reuse. *)
-val reset : t -> unit
+(** [reset t ~n] forgets all rows and re-packs the words for a protocol on
+    [n] nodes, so one [t] can serve explorations of any size in turn (the
+    checker keeps one per domain). Reuse contract: the row and edge
+    buffers are kept, except that a buffer larger than its floor (2^16
+    rows, 2^19 edges) and more than 8x what the previous graph used is
+    reallocated at the larger of its floor and twice that use — one huge
+    exploration does not pin its memory for every later small one.
+    @raise Invalid_argument unless [1 <= n <= 20]. *)
+val reset : t -> n:int -> unit
+
+(** Allocated edge slots — for tests. *)
+val edge_capacity : t -> int
 
 (** Number of sealed rows (states). *)
 val rows : t -> int

@@ -369,7 +369,9 @@ let explore p ~input ~r ~max_states adv =
             choice = Vec.create ~capacity:1024 ~dummy:(-1) ();
           }
         in
-        let cache = Trans_cache.create p ~input ~lab_count in
+        let cache =
+          Trans_cache.create (Trans_cache.store ()) p ~input ~lab_count
+        in
         let state_of_key = Array.make states (-1) in
         let intern key ~parent =
           let id = Array.unsafe_get state_of_key key in

@@ -1,6 +1,5 @@
 module Digraph = Stateless_graph.Digraph
 module Protocol = Stateless_core.Protocol
-module Engine = Stateless_core.Engine
 
 type t = {
   n : int;
@@ -155,89 +154,90 @@ let ring g =
 (* Equivariance check                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let nodes_of_mask n mask =
-  let rec loop i acc =
-    if i < 0 then acc
-    else if mask land (1 lsl i) <> 0 then loop (i - 1) (i :: acc)
-    else loop (i - 1) acc
-  in
-  loop (n - 1) []
+(* In-views per node up to which {!verify} is exhaustive; beyond it,
+   [inview_samples] deterministic in-views are checked instead. *)
+let inview_budget = 1 lsl 16
+let inview_samples = 1024
 
+(* [card^k], or [None] once it exceeds [inview_budget]. *)
+let views_count card k =
+  let rec go acc k =
+    if k = 0 then Some acc
+    else if acc > inview_budget / card then None
+    else go (acc * card) (k - 1)
+  in
+  go 1 k
+
+(* A step applies each active node's reaction to its own in-view, so
+   [step ∘ π = π ∘ step] on every labeling and activation set holds
+   exactly when every node [i] and its image [π i] agree on corresponding
+   in-views: [react (π i) (π·v)] must write [react i v]'s out-labels to
+   the [σ]-images of [i]'s out-edges and produce the same output. Every
+   in-view of [i] is realized by some labeling (in-edges are distinct
+   edges), so checking all in-views is checking all labelings. *)
 let verify p ~input t =
   if Protocol.num_nodes p <> t.n || Protocol.num_edges p <> t.m then
     invalid_arg "Symmetry.verify: protocol graph shape does not match group";
-  match Protocol.labelings_count p with
-  | None -> invalid_arg "Symmetry.verify: label space too large to sample"
-  | Some lab_count ->
-      let g = p.Protocol.graph in
-      let n = t.n in
-      let pow2n = if n < 30 then 1 lsl n else max_int in
-      let exhaustive = lab_count <= 4096 && n <= 6 in
-      let lab_codes =
-        if exhaustive then List.init lab_count Fun.id
-        else
-          (* Deterministic multiplicative stride spreads samples over the
-             code space; always include the extremes. *)
-          0 :: (lab_count - 1)
-          :: List.init 62 (fun k ->
-                 (k + 1) * 2654435761 land max_int mod lab_count)
-      in
-      let masks =
-        if pow2n <= 64 then List.init (pow2n - 1) (fun m -> m + 1)
-        else
-          (pow2n - 1)
-          :: List.init 63 (fun k ->
-                 1 + ((k + 1) * 40503 land max_int mod (pow2n - 1)))
-      in
-      let permute_labels ep labels =
-        let out = Array.copy labels in
-        Array.iteri (fun e l -> out.(ep.(e)) <- l) labels;
-        out
-      in
-      let code_of labels =
-        Protocol.encode_config p { Protocol.labels; outputs = [||] }
-      in
-      let ok = ref true in
-      Array.iter
-        (fun np ->
-          match edge_perm_of g np with
-          | None -> ok := false
-          | Some ep ->
-              List.iter
-                (fun code ->
-                  if !ok then begin
-                    let conf = Protocol.decode_config p code in
-                    let pconf =
-                      {
-                        conf with
-                        Protocol.labels = permute_labels ep conf.Protocol.labels;
-                      }
-                    in
-                    List.iter
-                      (fun mask ->
-                        if !ok then begin
-                          let active = nodes_of_mask n mask in
-                          let pactive = List.map (fun i -> np.(i)) active in
-                          let next = Engine.step p ~input conf ~active in
-                          let pnext =
-                            Engine.step p ~input pconf ~active:pactive
-                          in
-                          (* step then permute = permute then step *)
-                          if
-                            code_of (permute_labels ep next.Protocol.labels)
-                            <> code_of pnext.Protocol.labels
-                          then ok := false;
-                          List.iter
-                            (fun i ->
-                              let _, y = Protocol.apply p ~input conf i in
-                              let _, y' =
-                                Protocol.apply p ~input pconf np.(i)
-                              in
-                              if y <> y' then ok := false)
-                            active
-                        end)
-                      masks
-                  end)
-                lab_codes)
-        t.gens;
-      !ok
+  let g = p.Protocol.graph in
+  let space = p.Protocol.space in
+  let card = space.Stateless_core.Label.card in
+  let decode = space.Stateless_core.Label.decode
+  and encode = space.Stateless_core.Label.encode in
+  (* Position of edge [e] in its destination's in-edge list and in its
+     source's out-edge list. *)
+  let in_pos = Array.make t.m 0 and out_pos = Array.make t.m 0 in
+  for i = 0 to t.n - 1 do
+    Array.iteri (fun k e -> in_pos.(e) <- k) (Digraph.in_edges g i);
+    Array.iteri (fun k e -> out_pos.(e) <- k) (Digraph.out_edges g i)
+  done;
+  (* Does node [i] agree with [np.(i)] on the in-view [codes]? *)
+  let agrees np ep i codes =
+    let j = np.(i) in
+    let ins = Digraph.in_edges g i and outs = Digraph.out_edges g i in
+    let view = Array.map decode codes in
+    let pview = Array.copy view in
+    Array.iteri (fun k e -> pview.(in_pos.(ep.(e))) <- view.(k)) ins;
+    let out, y = p.Protocol.react i input.(i) view in
+    let out', y' = p.Protocol.react j input.(j) pview in
+    y = y'
+    && Array.for_all2
+         (fun e l -> encode l = encode out'.(out_pos.(ep.(e))))
+         outs out
+  in
+  (* Every in-view of node [i], or a deterministic sample including the
+     all-lowest and all-highest views; stops at the first disagreement. *)
+  let node_agrees np ep i =
+    let din = Digraph.in_degree g i in
+    let codes = Array.make din 0 in
+    let count, view =
+      match views_count card din with
+      | Some count ->
+          ( count,
+            fun v ->
+              let rest = ref v in
+              for k = din - 1 downto 0 do
+                codes.(k) <- !rest mod card;
+                rest := !rest / card
+              done )
+      | None ->
+          ( inview_samples,
+            fun s ->
+              for k = 0 to din - 1 do
+                let h = ((s * din) + k) * 0x9E3779B97F4A7C1 land max_int in
+                codes.(k) <-
+                  (if s = 0 then 0
+                   else if s = 1 then card - 1
+                   else (h lxor (h lsr 29)) mod card)
+              done )
+    in
+    let rec go v = v >= count || (view v; agrees np ep i codes && go (v + 1)) in
+    go 0
+  in
+  Array.for_all
+    (fun np ->
+      match edge_perm_of g np with
+      | None -> false
+      | Some ep ->
+          let rec from i = i >= t.n || (node_agrees np ep i && from (i + 1)) in
+          from 0)
+    t.gens

@@ -57,12 +57,20 @@ val ring : Stateless_graph.Digraph.t -> t
 val of_node_perms : Stateless_graph.Digraph.t -> int array list -> t
 
 (** [verify p ~input t] checks protocol equivariance under the group's
-    {!generators}: for sampled labelings and activation sets (exhaustive
-    when the label space is small), stepping then permuting equals
-    permuting then stepping with the permuted activation set, and node
-    outputs match at permuted positions. A [false] result proves the
-    protocol is not equivariant; [true] is exhaustive evidence for label
-    spaces of at most 4096 labelings on at most 6 nodes, and sampled
-    evidence beyond.
+    {!generators}, node by node: for every generator [π], node [i] and
+    in-view [v] of [i] (an assignment of labels to [i]'s in-edges),
+    [react (π i) (π·v)] must write [react i v]'s out-labels onto the
+    images of [i]'s out-edges and produce the same output. A global step
+    applies each active node's reaction to its own in-view, so this holds
+    exactly when stepping then permuting equals permuting then stepping
+    with the permuted activation set, for every labeling and activation
+    set.
+
+    The check is exhaustive — [true] proves equivariance — when every node
+    has at most 65536 in-views ([card^in_degree <= 2^16]). A node with
+    more in-views is checked on 1024 deterministic samples (including the
+    all-lowest and all-highest views), and [true] is then sampled
+    evidence. A [false] result always proves the protocol is not
+    equivariant.
     @raise Invalid_argument when the graph shape does not match [t]. *)
 val verify : ('x, 'l) Stateless_core.Protocol.t -> input:'x array -> t -> bool

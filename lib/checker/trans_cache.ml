@@ -20,10 +20,18 @@
    Layout: each labeling owns one block of [2n + 2^n] ints —
    [n] per-node deltas, then [n] per-node outputs, then [2^n] memoized
    packed transitions ([next_lab * 2 + changed], -1 when unfilled). Blocks
-   live interleaved in a single flat array when the label space is small
-   enough (one cache line brings a labeling's deltas along with its memo
-   slots), falling back to lazily allocated per-labeling blocks for huge
-   label spaces.
+   live in one flat array. When the label space is small enough it is
+   indexed directly by labeling code (one cache line brings a labeling's
+   deltas along with its memo slots); beyond that, blocks are appended in
+   first-touch order and found through an open-addressing index, so
+   memory scales with the labelings an exploration touches, not with the
+   label space.
+
+   The arrays live in a {!store} that outlives the cache: the checker
+   keeps one per domain, so repeated explorations reuse them instead of
+   reallocating. Binding a store shrinks any array that retains more than
+   8x what the previous cache used (and more than a floor), so one huge
+   exploration does not pin its memory for every later small one.
 
    Reaction functions are invoked directly on reused scratch buffers, so
    the per-labeling fill allocates nothing beyond what the reactions
@@ -34,9 +42,34 @@
 module Protocol = Stateless_core.Protocol
 module Digraph = Stateless_graph.Digraph
 
-(* Above this many words the flat table would dominate memory; fall back to
-   per-labeling blocks (2^22 words = 32 MB). *)
+(* At most this many words of blocks are indexed directly by labeling code
+   (2^22 words = 32 MB); larger label spaces use the sparse index. *)
 let flat_table_cap = 1 lsl 22
+
+(* Arrays at or below these sizes are never shrunk. *)
+let data_floor = 1 lsl 16
+let index_floor = 1 lsl 10
+
+type store = {
+  mutable data : int array;  (* blocks, [stride] words each *)
+  mutable used : int;  (* words of [data] the bound cache has claimed *)
+  mutable filled : Bytes.t;  (* direct index: lab_code -> block filled? *)
+  mutable keys : int array;  (* sparse index: lab_code, -1 = empty slot *)
+  mutable ids : int array;  (* sparse index: block number, parallel *)
+  mutable count : int;  (* sparse index: blocks in use *)
+}
+
+let store () =
+  {
+    data = [||];
+    used = 0;
+    filled = Bytes.empty;
+    keys = [||];
+    ids = [||];
+    count = 0;
+  }
+
+let capacity s = Array.length s.data
 
 type ('x, 'l) t = {
   p : ('x, 'l) Protocol.t;
@@ -48,16 +81,24 @@ type ('x, 'l) t = {
   stride : int;  (* block size: 2n + 2^n *)
   weight : int array;  (* e -> card^(m-1-e), the digit weight of edge e *)
   dec_tbl : 'l array;  (* code -> label value, avoids decode closures *)
-  flat : int array;  (* lab_count * stride words, or [||] when capped *)
-  filled : Bytes.t;  (* flat path: lab_code -> entry created? *)
-  blocks : int array array;  (* fallback path: lab_code -> block or [||] *)
+  st : store;
+  direct : bool;  (* blocks indexed by labeling code *)
   in_scratch : 'l array array;  (* i -> reused incoming-labels buffer *)
   digits : int array;  (* reused per-fill digit decomposition *)
   mutable hits : int;
   mutable misses : int;
 }
 
-let create p ~input ~lab_count =
+(* The new capacity for an array of [cap] slots that held [used] last
+   time and needs [need] now: grown to [need] when too small, shrunk to
+   [max floor need] when it exceeds [floor] and wastes more than 8x
+   what it held and needs. [None] keeps it. *)
+let resize ~floor ~cap ~used need =
+  if cap < need then Some need
+  else if cap > floor && cap > 8 * max used need then Some (max floor need)
+  else None
+
+let create st p ~input ~lab_count =
   let n = Protocol.num_nodes p in
   let m = Protocol.num_edges p in
   let space = p.Protocol.space in
@@ -70,7 +111,30 @@ let create p ~input ~lab_count =
     Array.init card (fun c -> space.Stateless_core.Label.decode c)
   in
   let stride = (2 * n) + (1 lsl n) in
-  let use_flat = lab_count <= flat_table_cap / stride in
+  let direct = lab_count <= flat_table_cap / stride in
+  let need = if direct then lab_count * stride else 0 in
+  Option.iter
+    (fun cap -> st.data <- Array.make cap 0)
+    (resize ~floor:data_floor ~cap:(Array.length st.data) ~used:st.used need);
+  st.used <- need;
+  let flags = if direct then lab_count else 0 in
+  (match
+     resize ~floor:data_floor ~cap:(Bytes.length st.filled) ~used:flags flags
+   with
+  | Some cap -> st.filled <- Bytes.make cap '\000'
+  | None -> Bytes.fill st.filled 0 flags '\000');
+  (* The sparse index is a power of two, at least [index_floor]. *)
+  (match
+     resize ~floor:index_floor ~cap:(Array.length st.keys)
+       ~used:(2 * st.count)
+       (if direct then 0 else index_floor)
+   with
+  | Some cap ->
+      st.keys <- Array.make cap (-1);
+      st.ids <- Array.make cap 0
+  | None ->
+      if not direct then Array.fill st.keys 0 (Array.length st.keys) (-1));
+  st.count <- 0;
   {
     p;
     input;
@@ -81,9 +145,8 @@ let create p ~input ~lab_count =
     stride;
     weight;
     dec_tbl;
-    flat = (if use_flat then Array.make (lab_count * stride) 0 else [||]);
-    filled = Bytes.make (if use_flat then lab_count else 0) '\000';
-    blocks = (if use_flat then [||] else Array.make lab_count [||]);
+    st;
+    direct;
     in_scratch =
       Array.init n (fun i ->
           Array.make (Digraph.in_degree p.Protocol.graph i) dec_tbl.(0));
@@ -126,25 +189,66 @@ let fill t lab_code blk off =
   done;
   Array.fill blk (off + (2 * t.n)) t.pow2n (-1)
 
+(* Fibonacci hash of a labeling code into a power-of-two table. *)
+let slot_of code mask =
+  let h = code * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land mask
+
+let rec probe keys mask code j =
+  let k = Array.unsafe_get keys j in
+  if k = code || k < 0 then j else probe keys mask code ((j + 1) land mask)
+
+(* Double the sparse index, keeping load at most 1/2. *)
+let grow_index st =
+  let old_keys = st.keys and old_ids = st.ids in
+  let cap = 2 * Array.length old_keys in
+  let keys = Array.make cap (-1) and ids = Array.make cap 0 in
+  let mask = cap - 1 in
+  Array.iteri
+    (fun j k ->
+      if k >= 0 then begin
+        let pos = probe keys mask k (slot_of k mask) in
+        keys.(pos) <- k;
+        ids.(pos) <- old_ids.(j)
+      end)
+    old_keys;
+  st.keys <- keys;
+  st.ids <- ids
+
 (* The memo block of [lab_code], creating it on first touch. Returns the
-   backing array and the block's offset within it. *)
+   backing array and the block's offset within it; the array may be
+   replaced by the next call that creates a block. *)
 let block t lab_code =
-  if Array.length t.flat > 0 then begin
+  let st = t.st in
+  if t.direct then begin
     let off = lab_code * t.stride in
-    if Bytes.unsafe_get t.filled lab_code = '\000' then begin
-      Bytes.unsafe_set t.filled lab_code '\001';
-      fill t lab_code t.flat off
+    if Bytes.unsafe_get st.filled lab_code = '\000' then begin
+      Bytes.unsafe_set st.filled lab_code '\001';
+      fill t lab_code st.data off
     end;
-    (t.flat, off)
+    (st.data, off)
   end
   else begin
-    let blk = t.blocks.(lab_code) in
-    if Array.length blk > 0 then (blk, 0)
+    let mask = Array.length st.keys - 1 in
+    let pos = probe st.keys mask lab_code (slot_of lab_code mask) in
+    if Array.unsafe_get st.keys pos = lab_code then
+      (st.data, Array.unsafe_get st.ids pos * t.stride)
     else begin
-      let blk = Array.make t.stride 0 in
-      t.blocks.(lab_code) <- blk;
-      fill t lab_code blk 0;
-      (blk, 0)
+      let id = st.count in
+      let off = id * t.stride in
+      let len = Array.length st.data in
+      if off + t.stride > len then begin
+        let bigger = Array.make (max (off + t.stride) (2 * len)) 0 in
+        Array.blit st.data 0 bigger 0 off;
+        st.data <- bigger
+      end;
+      st.keys.(pos) <- lab_code;
+      st.ids.(pos) <- id;
+      st.count <- id + 1;
+      st.used <- off + t.stride;
+      if 2 * st.count > Array.length st.keys then grow_index st;
+      fill t lab_code st.data off;
+      (st.data, off)
     end
   end
 

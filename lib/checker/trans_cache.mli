@@ -21,18 +21,45 @@
 
 type ('x, 'l) t
 
-(** [create p ~input ~lab_count] prepares a cache for the [lab_count]
-    labeling codes of [p]. Blocks are filled lazily on first touch; they
-    live interleaved in one flat array when [lab_count * (2n + 2^n)] is
-    small enough, else as per-labeling arrays allocated on demand. *)
+(** {2 Reusable storage}
+
+    A [store] holds a cache's arrays independently of the protocol's
+    types, so it can outlive the cache: the checker keeps one per domain
+    and binds every exploration's cache to it. Only one cache may use a
+    store at a time — binding a new cache invalidates the previous one.
+
+    Reuse contract: {!create} keeps the store's arrays when they fit the
+    new cache, grows them when they do not, and shrinks any array that
+    exceeds its floor (2^16 words of blocks, 2^16 fill flags, 2^10 index
+    slots) and holds more than 8x what the previous and the new cache
+    use — so one huge exploration does not pin its memory for every later
+    small one. *)
+
+type store
+
+val store : unit -> store
+
+(** Words of block storage currently allocated — for tests. *)
+val capacity : store -> int
+
+(** [create st p ~input ~lab_count] binds a cache for the [lab_count]
+    labeling codes of [p] to the store [st]. Blocks are filled lazily on
+    first touch. When [lab_count * (2n + 2^n)] fits a 2^22-word budget
+    they are indexed directly by labeling code; beyond it they are
+    appended in first-touch order and found through an open-addressing
+    index, so memory scales with the labelings touched rather than with
+    [lab_count]. *)
 val create :
+  store ->
   ('x, 'l) Stateless_core.Protocol.t ->
   input:'x array ->
   lab_count:int ->
   ('x, 'l) t
 
 (** [block t lab_code] is the memo block of [lab_code] (created on first
-    touch) as [(backing_array, offset)], laid out as documented above. *)
+    touch) as [(backing_array, offset)], laid out as documented above.
+    The pair is valid until the next {!block}, {!step} or {!output} call
+    on [t], which may move the blocks to a larger array. *)
 val block : ('x, 'l) t -> int -> int array * int
 
 (** [step_in t blk off ~lab_code ~mask] is {!step} with the block lookup

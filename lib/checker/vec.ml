@@ -52,3 +52,13 @@ let to_array t = Array.sub t.data 0 t.len
 
 (* Forget the contents but keep the allocated storage for reuse. *)
 let clear t = t.len <- 0
+
+(* [clear], reallocating near the last run's size when the storage wastes
+   more than 8x of it. *)
+let recycle t ~floor =
+  let cap = Array.length t.data in
+  if cap > floor && cap > 8 * t.len then
+    t.data <- Array.make (max floor (2 * t.len)) t.dummy;
+  t.len <- 0
+
+let capacity t = Array.length t.data

@@ -42,3 +42,12 @@ val to_array : 'a t -> 'a array
 
 (** Forget the contents but keep the allocated storage for reuse. *)
 val clear : 'a t -> unit
+
+(** [recycle t ~floor] is {!clear} for a vector reused across runs: when
+    the storage exceeds [floor] slots and 8x the length it held, it is
+    reallocated at [max floor (2 * length)] slots, so one oversized run
+    does not pin its memory for every later one. *)
+val recycle : 'a t -> floor:int -> unit
+
+(** Allocated slots — for tests. *)
+val capacity : 'a t -> int

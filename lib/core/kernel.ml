@@ -508,6 +508,8 @@ let is_stable_packed t src =
   in
   check 0
 
+let is_stable t ~labels = is_stable_packed t labels
+
 (* Same packing as {!Protocol.config_key}: the labeling alone, little-endian
    per label. The Bytes buffer is reused; only the final string allocates. *)
 let key_of t labels =

@@ -164,6 +164,11 @@ val stable_in_plane : ('x, 'l) t -> stride:int -> j:int -> src:plane -> bool
     with the per-instance path, so cycle detection agrees exactly. *)
 val key_in_plane : ('x, 'l) t -> stride:int -> j:int -> src:plane -> string
 
+(** [is_stable t ~labels] is {!Protocol.is_stable} on a packed edge
+    labeling: every node's reaction, evaluated through its tier, rewrites
+    its out-edges unchanged. *)
+val is_stable : ('x, 'l) t -> labels:int array -> bool
+
 (** [node_output t ~labels i] is node [i]'s output when reacting to the
     packed labeling [labels] — the settled-outputs refresh for batched
     instances whose horizon state lives in a retirement snapshot. *)

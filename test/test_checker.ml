@@ -613,6 +613,245 @@ let test_symmetry_rejects_asymmetric () =
     Alcotest.fail "asymmetric protocol accepted"
   with Invalid_argument _ -> ()
 
+(* [Symmetry.verify]'s former definition, kept as the oracle for its
+   per-node replacement: over every labeling and nonempty activation set,
+   stepping then permuting must equal permuting then stepping with the
+   permuted activation set, and each active node's output must match its
+   image's. Exhaustive, so only for small label spaces. *)
+let verify_by_global_steps p ~input sym =
+  let module D = Stateless_graph.Digraph in
+  let n = Protocol.num_nodes p and g = p.Protocol.graph in
+  let lab_count = Option.get (Protocol.labelings_count p) in
+  let permute ep labels =
+    let out = Array.copy labels in
+    Array.iteri (fun e l -> out.(ep.(e)) <- l) labels;
+    out
+  in
+  let code labels =
+    Protocol.encode_config p { Protocol.labels; outputs = [||] }
+  in
+  let output conf i = snd (Protocol.apply p ~input conf i) in
+  let masks = List.init ((1 lsl n) - 1) (fun m -> m + 1) in
+  let nodes mask =
+    List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)
+  in
+  Array.for_all
+    (fun np ->
+      let ep =
+        Array.init (D.num_edges g) (fun e ->
+            let u, v = D.edge g e in
+            Option.get (D.find_edge g ~src:np.(u) ~dst:np.(v)))
+      in
+      List.for_all
+        (fun c ->
+          let conf = Protocol.decode_config p c in
+          let pconf =
+            { conf with Protocol.labels = permute ep conf.Protocol.labels }
+          in
+          List.for_all
+            (fun mask ->
+              let active = nodes mask in
+              let pactive = List.map (fun i -> np.(i)) active in
+              let next = Engine.step p ~input conf ~active in
+              let pnext = Engine.step p ~input pconf ~active:pactive in
+              code (permute ep next.Protocol.labels)
+              = code pnext.Protocol.labels
+              && List.for_all
+                   (fun i -> output conf i = output pconf np.(i))
+                   active)
+            masks)
+        (List.init lab_count Fun.id))
+    (Symmetry.generators sym)
+
+(* Example 1 on K_n, except that node 0 misbehaves on the one in-view
+   where only its second in-edge is hot: [`Output] flips its output
+   there, [`Label] its first out-label. *)
+let example1_asymmetric n how =
+  let p = Clique_example.make n in
+  let odd incoming =
+    Array.for_all2 ( = ) incoming (Array.init (n - 1) (fun k -> k = 1))
+  in
+  {
+    p with
+    Protocol.react =
+      (fun i x incoming ->
+        let out, y = p.Protocol.react i x incoming in
+        if i <> 0 || not (odd incoming) then (out, y)
+        else
+          match how with
+          | `Output -> (out, 1 - y)
+          | `Label ->
+              let out = Array.copy out in
+              out.(0) <- not out.(0);
+              (out, y));
+  }
+
+let test_verify_matches_global_steps () =
+  let clique n = Symmetry.clique (Builders.clique n) in
+  let fixtures =
+    List.map
+      (fun (name, p, input, kind) ->
+        (name, p, input, group_of kind p.Protocol.graph))
+      sym_cases
+    @ [
+        ( "copy-ring-bi-3 under reflections",
+          copy_ring_bi 3,
+          unit_input 3,
+          Symmetry.ring (Builders.ring_bi 3) );
+        ( "clique3 odd output",
+          example1_asymmetric 3 `Output,
+          Clique_example.input 3,
+          clique 3 );
+        ( "clique4 odd label",
+          example1_asymmetric 4 `Label,
+          Clique_example.input 4,
+          clique 4 );
+      ]
+  in
+  List.iter
+    (fun (name, p, input, sym) ->
+      check_bool name
+        (verify_by_global_steps p ~input sym)
+        (Symmetry.verify p ~input sym))
+    fixtures;
+  (* Both answers occur, so the comparison is not vacuous. *)
+  check_bool "some fixture is refuted" true
+    (List.exists
+       (fun (_, p, input, sym) -> not (Symmetry.verify p ~input sym))
+       fixtures)
+
+let test_verify_refutes_one_in_view_on_k5 () =
+  let sym = Symmetry.clique (Builders.clique 5) in
+  let input = Clique_example.input 5 in
+  check_bool "example1 on K5 is equivariant" true
+    (Symmetry.verify (Clique_example.make 5) ~input sym);
+  List.iter
+    (fun (name, how) ->
+      check_bool name false
+        (Symmetry.verify (example1_asymmetric 5 how) ~input sym))
+    [
+      ("odd output on one in-view", `Output);
+      ("odd label on one in-view", `Label);
+    ];
+  (* 300 labels on a bidirectional ring: 300^2 in-views per node is past
+     the exhaustive budget, so in-views are sampled; the all-highest view
+     is always among them. *)
+  let ring ~odd : (unit, int) Protocol.t =
+    {
+      Protocol.name = "max-ring-bi";
+      graph = Builders.ring_bi 4;
+      space = Label.int 300;
+      react =
+        (fun i () incoming ->
+          let top = Array.fold_left max 0 incoming in
+          let y = if odd && i = 0 && top = 299 then 1 else 0 in
+          ([| top; top |], y));
+    }
+  in
+  let rotations = group_of (`Rotations 4) (Builders.ring_bi 4) in
+  check_bool "sampled: equivariant ring" true
+    (Symmetry.verify (ring ~odd:false) ~input:(unit_input 4) rotations);
+  check_bool "sampled: odd node refuted" false
+    (Symmetry.verify (ring ~odd:true) ~input:(unit_input 4) rotations)
+
+(* ------------------------------------------------------------------ *)
+(* Orbit canonicalization                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Canon = Stateless_checker.Canon
+
+let rec ipow b e = if e = 0 then 1 else b * ipow b (e - 1)
+
+(* The image keys of [key] under every element, by decoding the state,
+   permuting its edge labels and countdowns explicitly and re-encoding. *)
+let brute_images sym ~card ~r key =
+  let n = Symmetry.num_nodes sym and m = Symmetry.num_edges sym in
+  let cd_count = ipow r n in
+  let digits radix count v =
+    let d = Array.make count 0 and v = ref v in
+    for k = count - 1 downto 0 do
+      d.(k) <- !v mod radix;
+      v := !v / radix
+    done;
+    d
+  in
+  let encode radix d =
+    Array.fold_left (fun acc x -> (acc * radix) + x) 0 d
+  in
+  let lab = digits card m (key / cd_count)
+  and cd = digits r n (key mod cd_count) in
+  Array.map2
+    (fun np ep ->
+      let lab' = Array.make m 0 and cd' = Array.make n 0 in
+      Array.iteri (fun e x -> lab'.(ep.(e)) <- x) lab;
+      Array.iteri (fun i x -> cd'.(np.(i)) <- x) cd;
+      (encode card lab' * cd_count) + encode r cd')
+    (Symmetry.node_perms sym) (Symmetry.edge_perms sym)
+
+let canon_fixtures =
+  [
+    ("K3", Symmetry.clique (Builders.clique 3), 2);
+    ("K4", Symmetry.clique (Builders.clique 4), 2);
+    ("K5", Symmetry.clique (Builders.clique 5), 2);
+    ("uni ring 5", Symmetry.ring (Builders.ring_uni 5), 2);
+    ("bi ring 4", Symmetry.ring (Builders.ring_bi 4), 2);
+    ("uni ring 5, 13 labels", Symmetry.ring (Builders.ring_uni 5), 13);
+  ]
+
+let test_canon_matches_brute_force () =
+  List.iter
+    (fun (name, sym, card) ->
+      List.iter
+        (fun r ->
+          let ctx what = Printf.sprintf "%s r=%d %s" name r what in
+          let n = Symmetry.num_nodes sym and m = Symmetry.num_edges sym in
+          let cd_count = ipow r n in
+          let lab_count = ipow card m in
+          let total = lab_count * cd_count in
+          let cn = Canon.make sym ~card ~r in
+          let sc = Canon.scratch cn in
+          let keys =
+            0 :: (total - 1)
+            :: List.init 300 (fun k ->
+                   ((k + 1) * 2654435761) land max_int mod total)
+          in
+          List.iter
+            (fun key ->
+              let at what = ctx (Printf.sprintf "%s %d" what key) in
+              let img = brute_images sym ~card ~r key in
+              let least = Array.fold_left min key img in
+              check (at "canon") least (Canon.canon cn sc key);
+              let first = ref 0 in
+              Array.iteri (fun g k -> if k < img.(!first) then first := g) img;
+              check (at "to_canon") !first (Canon.to_canon cn sc key);
+              let fixers =
+                Array.fold_left
+                  (fun a k -> if k = least then a + 1 else a)
+                  0
+                  (brute_images sym ~card ~r least)
+              in
+              check (at "orbit size")
+                (Symmetry.order sym / fixers)
+                (Canon.orbit_size cn sc least))
+            keys;
+          (* Canonical initialization states, in increasing key order. *)
+          if lab_count <= 1 lsl 12 then begin
+            let canonical key =
+              Array.for_all (fun k -> k >= key) (brute_images sym ~card ~r key)
+            in
+            let expect =
+              List.filter canonical
+                (List.init lab_count (fun l -> (l * cd_count) + cd_count - 1))
+            in
+            let got = ref [] in
+            Canon.iter_initial cn sc ~lab_count (fun key -> got := key :: !got);
+            Alcotest.(check (list int))
+              (ctx "initial representatives")
+              expect (List.rev !got)
+          end)
+        [ 1; 2; 3 ])
+    canon_fixtures
+
 (* ------------------------------------------------------------------ *)
 (* Stateset                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -690,6 +929,74 @@ let test_stateset_reset_shrinks_wasteful_retention () =
   check "shrunk table forgets" (-1) (Stateset.find s 5);
   Stateset.add s ~key:12345 ~id:7;
   check "add after shrink" 7 (Stateset.find s 12345)
+
+(* The checker keeps its CSR and transition-cache buffers between calls;
+   like the Stateset above, they must shrink once retention exceeds 8x
+   what the last run used, and stay put after a comparably big run. *)
+let test_checker_buffers_shrink () =
+  let module Csr = Stateless_checker.Csr in
+  let module Trans_cache = Stateless_checker.Trans_cache in
+  let csr = Csr.create ~n:3 ~capacity:0 () in
+  (* One row of [count] edges, with masks over [n] nodes. *)
+  let push ~n count =
+    for k = 0 to count - 1 do
+      Csr.push_edge csr ~succ:k
+        ~mask:(k land ((1 lsl n) - 1))
+        ~changed:(k land 1)
+    done;
+    Csr.end_row csr
+  in
+  Csr.reset csr ~n:3;
+  let cap0 = Csr.edge_capacity csr in
+  push ~n:3 (1 lsl 20);
+  let grown = Csr.edge_capacity csr in
+  check_bool "edges grew past the floor" true
+    (grown > cap0 && grown >= 1 lsl 20);
+  Csr.reset csr ~n:5;
+  check "retained after big run" grown (Csr.edge_capacity csr);
+  push ~n:5 31;
+  check "repacked for n=5: mask" 30 (Csr.mask csr 0 30);
+  check "repacked for n=5: succ" 30 (Csr.succ csr 0 30);
+  Csr.reset csr ~n:5;
+  check "shrunk to the floor after small run" (1 lsl 19)
+    (Csr.edge_capacity csr);
+  push ~n:5 3;
+  check "usable after shrink" 2 (Csr.succ csr 0 2);
+  (* Example 1 on K5 has 2^20 labelings: too many for the direct table,
+     so blocks go through the sparse index and grow with the labelings
+     touched. *)
+  let k5 = Clique_example.make 5 and k5_in = Clique_example.input 5 in
+  let ring = copy_ring_uni 4 and ring_in = unit_input 4 in
+  let st = Trans_cache.store () in
+  let touch p ~input ~lab_count labs =
+    let c = Trans_cache.create st p ~input ~lab_count in
+    List.iter (fun l -> ignore (Trans_cache.step c ~lab_code:l ~mask:1)) labs;
+    c
+  in
+  (* [next_lab * 2 + changed] by a boxed engine step. *)
+  let stepped p ~input lab active =
+    let next =
+      Protocol.encode_config p
+        (Engine.step p ~input (Protocol.decode_config p lab) ~active)
+    in
+    (next * 2) + if next <> lab then 1 else 0
+  in
+  let big =
+    touch k5 ~input:k5_in ~lab_count:(1 lsl 20)
+      (List.init 20_000 (fun l -> l * 37))
+  in
+  let grown = Trans_cache.capacity st in
+  check_bool "blocks grew past the floor" true (grown >= 20_000 * 42);
+  check "sparse blocks survive growth"
+    (stepped k5 ~input:k5_in 37 [ 0; 1 ])
+    (Trans_cache.step big ~lab_code:37 ~mask:3);
+  ignore (touch ring ~input:ring_in ~lab_count:16 [ 0; 5 ]);
+  check "retained after big run" grown (Trans_cache.capacity st);
+  let c = touch ring ~input:ring_in ~lab_count:16 [ 0; 5 ] in
+  check_bool "shrunk after small run" true (Trans_cache.capacity st < grown);
+  check "small cache still steps"
+    (stepped ring ~input:ring_in 5 [ 0; 1; 2; 3 ])
+    (Trans_cache.step c ~lab_code:5 ~mask:15)
 
 let test_r_below_one_rejected () =
   let p = Clique_example.make 3 and input = Clique_example.input 3 in
@@ -859,6 +1166,12 @@ let () =
             test_symmetry_domains_deterministic;
           Alcotest.test_case "asymmetric protocol rejected" `Quick
             test_symmetry_rejects_asymmetric;
+          Alcotest.test_case "verify matches the global-step check" `Quick
+            test_verify_matches_global_steps;
+          Alcotest.test_case "verify refutes odd in-views, K5 and sampled" `Quick
+            test_verify_refutes_one_in_view_on_k5;
+          Alcotest.test_case "canonical key = brute-force orbit minimum" `Quick
+            test_canon_matches_brute_force;
         ] );
       ( "stateset",
         [
@@ -868,6 +1181,8 @@ let () =
             test_stateset_mode_switch;
           Alcotest.test_case "reset shrinks wasteful retention" `Quick
             test_stateset_reset_shrinks_wasteful_retention;
+          Alcotest.test_case "checker buffers shrink after an oversized run" `Quick
+            test_checker_buffers_shrink;
         ] );
       ("properties", qcheck_tests);
     ]

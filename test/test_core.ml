@@ -374,6 +374,44 @@ let test_example1_has_two_stable_labelings () =
   check "two" 2
     (Stability.count_stable_labelings p ~input:(Clique_example.input 3))
 
+(* Stable labelings are read off packed codes by the kernel; they must be
+   exactly the labelings the boxed predicate accepts, in code order. *)
+let test_stable_labelings_match_boxed () =
+  let boxed p ~input =
+    let acc = ref [] in
+    Stability.iter_labelings p (fun labels ->
+        if Protocol.is_stable p ~input (Protocol.config_of_labels p labels) then
+          acc := Array.copy labels :: !acc);
+    List.rev !acc
+  in
+  let same name p ~input =
+    check_bool name true (boxed p ~input = Stability.stable_labelings p ~input)
+  in
+  same "copy ring" (copy_ring 4) ~input:(unit_input 4);
+  same "constant ring" (constant_ring 4) ~input:(unit_input 4);
+  List.iter
+    (fun n ->
+      same (Printf.sprintf "example1 K%d" n) (Clique_example.make n)
+        ~input:(Clique_example.input n))
+    [ 3; 4 ];
+  (* Node-dependent reactions over three labels, two of them fixed on
+     one in-view only. *)
+  let mixed : (unit, int) Protocol.t =
+    {
+      Protocol.name = "mixed";
+      graph = Stateless_graph.Builders.ring_bi 3;
+      space = Label.int 3;
+      react =
+        (fun i () incoming ->
+          let s = Array.fold_left ( + ) i incoming in
+          (Array.map (fun _ -> if s mod 3 = i then incoming.(0) else s mod 3) incoming, s));
+    }
+  in
+  same "mixed ring" mixed ~input:(unit_input 3);
+  check "example1 K5" 2
+    (Stability.count_stable_labelings (Clique_example.make 5)
+       ~input:(Clique_example.input 5))
+
 (* ------------------------------------------------------------------ *)
 (* Generic protocol (Proposition 2.3)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -848,6 +886,8 @@ let () =
             test_stable_labelings_constant;
           Alcotest.test_case "example1 two stable" `Quick
             test_example1_has_two_stable_labelings;
+          Alcotest.test_case "packed count matches boxed predicate" `Quick
+            test_stable_labelings_match_boxed;
         ] );
       ( "generic-prop-2.3",
         [
