@@ -3,6 +3,8 @@ let corrupt p ~seed ~fraction config =
     invalid_arg "Fault.corrupt: fraction must be in [0, 1]";
   Fault_model.apply p ~seed (Fault_model.Uniform { fraction }) config
 
+let corrupt_codes = Fault_model.uniform_codes
+
 let inject p ~seed fault config = Fault_model.apply p ~seed fault config
 
 (* Both measurements are phrased in terms of output stabilization so that

@@ -20,6 +20,16 @@ val corrupt :
   'l Protocol.config ->
   'l Protocol.config
 
+(** [corrupt_codes ~card ~seed ~fraction ~src ~dst] is {!corrupt} on label
+    codes: it writes into [dst] the codes of the labeling {!corrupt}
+    returns for the labeling with codes [src] (in a space of [card]
+    labels), making exactly the same random draws — {!corrupt} runs this
+    loop. [dst] may be [src]; nothing is allocated beyond the generator's
+    state. Alias of {!Fault_model.uniform_codes}. *)
+val corrupt_codes :
+  card:int -> seed:int -> fraction:float -> src:int array -> dst:int array ->
+  unit
+
 (** [inject p ~seed fault config] applies one fault from the typed
     catalogue; alias of {!Fault_model.apply}. *)
 val inject :

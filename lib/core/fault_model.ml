@@ -23,15 +23,32 @@ let name = function
    corruption rate silently drops below the requested one. Drawing from the
    [card - 1] other codes and shifting past the old code is the loop-free
    equivalent of resampling until the label differs. Degenerate singleton
-   spaces have nothing to corrupt to. *)
+   spaces have nothing to corrupt to, and draw nothing. *)
+let redraw_code ~card state old =
+  if card <= 1 then old
+  else begin
+    let c = Random.State.int state (card - 1) in
+    if c >= old then c + 1 else c
+  end
+
 let redraw space state old =
   let card = space.Label.card in
   if card <= 1 then old
-  else begin
-    let old_code = space.Label.encode old in
-    let c = Random.State.int state (card - 1) in
-    space.Label.decode (if c >= old_code then c + 1 else c)
-  end
+  else space.Label.decode (redraw_code ~card state (space.Label.encode old))
+
+let uniform_codes ~card ~seed ~fraction ~src ~dst =
+  if fraction < 0.0 || fraction > 1.0 then
+    invalid_arg "Fault_model.uniform_codes: fraction must be in [0, 1]";
+  if Array.length dst <> Array.length src then
+    invalid_arg "Fault_model.uniform_codes: src and dst lengths differ";
+  let state = Random.State.make [| seed |] in
+  for e = 0 to Array.length src - 1 do
+    let old = src.(e) in
+    dst.(e) <-
+      (if Random.State.float state 1.0 < fraction then
+         redraw_code ~card state old
+       else old)
+  done
 
 let check_nodes p ctx nodes =
   let n = Protocol.num_nodes p in
@@ -56,24 +73,30 @@ let incident_edges g nodes =
 
 let apply p ~seed fault config =
   let space = p.Protocol.space in
-  let state = Random.State.make [| seed |] in
   let labels = Array.copy config.Protocol.labels in
-  let corrupt e = labels.(e) <- redraw space state labels.(e) in
+  let redraw_all edges =
+    let state = Random.State.make [| seed |] in
+    List.iter (fun e -> labels.(e) <- redraw space state labels.(e)) edges
+  in
   (match fault with
   | Uniform { fraction } ->
       if fraction < 0.0 || fraction > 1.0 then
         invalid_arg "Fault_model.apply: fraction must be in [0, 1]";
-      for e = 0 to Array.length labels - 1 do
-        if Random.State.float state 1.0 < fraction then corrupt e
-      done
+      let codes = Array.map space.Label.encode labels in
+      let dst = Array.make (Array.length codes) 0 in
+      uniform_codes ~card:space.Label.card ~seed ~fraction ~src:codes ~dst;
+      Array.iteri
+        (fun e c -> if c <> codes.(e) then labels.(e) <- space.Label.decode c)
+        dst
   | Targeted { nodes } ->
       let nodes = check_nodes p "Targeted" nodes in
-      List.iter corrupt (incident_edges p.Protocol.graph nodes)
+      redraw_all (incident_edges p.Protocol.graph nodes)
   | Messages { nodes } ->
       let nodes = check_nodes p "Messages" nodes in
-      List.iter
-        (fun i -> Array.iter corrupt (Digraph.out_edges p.Protocol.graph i))
-        nodes
+      redraw_all
+        (List.concat_map
+           (fun i -> Array.to_list (Digraph.out_edges p.Protocol.graph i))
+           nodes)
   | Crash { nodes; junk } ->
       if junk < 0 || junk >= space.Label.card then
         invalid_arg "Fault_model.apply: junk label code out of range";

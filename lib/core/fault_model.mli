@@ -26,6 +26,19 @@ type t =
 (** Short human-readable fault descriptor, e.g. ["uniform:0.25"]. *)
 val name : t -> string
 
+(** [uniform_codes ~card ~seed ~fraction ~src ~dst] is the [Uniform]
+    fault on label codes in [0 .. card - 1]: [dst.(e)] is [src.(e)], or
+    with probability [fraction] a uniformly drawn different code. The
+    random draws are exactly those {!apply} makes for [Uniform { fraction
+    }] under [seed] on the labeling with codes [src] (a singleton space
+    draws no code). [dst] may be [src].
+
+    @raise Invalid_argument on an out-of-range fraction or when [src] and
+    [dst] lengths differ. *)
+val uniform_codes :
+  card:int -> seed:int -> fraction:float -> src:int array -> dst:int array ->
+  unit
+
 (** [apply p ~seed fault config] returns a corrupted copy of [config]
     ([config] itself is untouched; outputs are carried over — the protocol
     re-derives them anyway). Random draws are deterministic in [seed].

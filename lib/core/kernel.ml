@@ -9,70 +9,49 @@ let default_max_table_words = 1 lsl 22
 let default_max_memo_entries = 1 lsl 18
 let max_decode_table = 1 lsl 16
 
-(* Per-node sparse reaction memo: open-addressing (linear probing,
-   power-of-two capacity) from the packed incoming code to a row index in
-   an append-only flat row store. A hit is two array reads — no polymorphic
-   hashing, no bucket chasing, no allocation. *)
-type memo = {
-  mutable keys : int array; (* incoming codes; -1 = empty slot *)
-  mutable slot : int array; (* row index, parallel to [keys] *)
-  mutable rows : int array; (* [nrows * width] ints used *)
-  mutable nrows : int;
-}
+(* Per-node sparse reaction memo: one direct-mapped int array, allocated on
+   the node's first miss. Slot [j] holds an incoming code at
+   [j * (width + 1)] (-1 = empty) with that code's row right after it, so a
+   hit is one hash, one compare and reads from the same cache lines. A
+   colliding code overwrites the slot: a row is a pure function of its
+   incoming code, so eviction costs a recomputation and nothing else.
+   Slots per node are capped by [memo_max_slots], by [memo_max_words]
+   words, by [max_memo_entries] and by the number of distinct codes; the
+   memo nodes of one kernel share [memo_budget_words], past which a node
+   gets a single slot. *)
+let memo_max_slots = 4096
+let memo_max_words = 1 lsl 14
+let memo_budget_words = 1 lsl 22
 
 let memo_hash code =
   let h = code * 0x9E3779B1 in
   h lxor (h lsr 17)
 
-(* Returns the slot holding [code], or [lnot insertion_slot] on miss. *)
-let rec memo_probe keys mask code j =
-  let k = Array.unsafe_get keys j in
-  if k = code then j
-  else if k < 0 then lnot j
-  else memo_probe keys mask code ((j + 1) land mask)
+(* Largest power of two <= [x], for [x >= 1]. *)
+let pow2_floor x =
+  let rec go p = if 2 * p > x then p else go (2 * p) in
+  go 1
 
-let memo_grow mm =
-  let old_keys = mm.keys and old_slot = mm.slot in
-  let cap = 2 * Array.length old_keys in
-  let keys = Array.make cap (-1) and slot = Array.make cap 0 in
-  let mask = cap - 1 in
-  Array.iteri
-    (fun j k ->
-      if k >= 0 then begin
-        let pos = lnot (memo_probe keys mask k (memo_hash k land mask)) in
-        keys.(pos) <- k;
-        slot.(pos) <- old_slot.(j)
-      end)
-    old_keys;
-  mm.keys <- keys;
-  mm.slot <- slot
+(* Labelings met at schedule phase 0 during one [run_until_stable], each
+   with the step it was first met at: open addressing over int keys. When
+   [card^m] fits an int the key is the labeling's mixed-radix code, which is
+   exact; otherwise it is a hash, and a hit is confirmed against the
+   labeling itself, copied into [arena]. A reset clears only the slots in
+   use. *)
+type visits = {
+  mutable slots : int array; (* entry index, -1 = empty; power-of-two length *)
+  mutable keys : int array; (* per entry *)
+  mutable steps : int array; (* per entry: step of the first visit *)
+  mutable homes : int array; (* per entry: the slot it occupies *)
+  mutable arena : int array; (* hashed keys only: entry [k] at [k * m] *)
+  mutable used : int;
+}
 
-(* Reserve the row for [code] and return its base offset (caller fills). *)
-let memo_add mm width code =
-  if 2 * (mm.nrows + 1) > Array.length mm.keys then memo_grow mm;
-  let mask = Array.length mm.keys - 1 in
-  let pos = lnot (memo_probe mm.keys mask code (memo_hash code land mask)) in
-  mm.keys.(pos) <- code;
-  mm.slot.(pos) <- mm.nrows;
-  let need = (mm.nrows + 1) * width in
-  if Array.length mm.rows < need then begin
-    let bigger = Array.make (max need (2 * Array.length mm.rows)) 0 in
-    Array.blit mm.rows 0 bigger 0 (mm.nrows * width);
-    mm.rows <- bigger
-  end;
-  let base = mm.nrows * width in
-  mm.nrows <- mm.nrows + 1;
-  base
-
-let empty_memo () = { keys = [||]; slot = [||]; rows = [||]; nrows = 0 }
-
-let fresh_memo width =
-  {
-    keys = Array.make 64 (-1);
-    slot = Array.make 64 0;
-    rows = Array.make (16 * width) 0;
-    nrows = 0;
-  }
+(* The packed outcome of {!run_until_stable}. *)
+type verdict =
+  | Stabilized of int
+  | Oscillating of { entered : int; period : int }
+  | Exhausted
 
 type ('x, 'l) t = {
   p : ('x, 'l) Protocol.t;
@@ -92,17 +71,35 @@ type ('x, 'l) t = {
      visit, so sparse trajectories never pay for the full table. *)
   tables : int array array;
   filled : Bytes.t array;
-  memo : memo array; (* mode_memo, bounded by [max_memo_entries] *)
-  max_memo_entries : int;
-  (* Reused row for mode_raw and for memo overflow. *)
+  (* mode_memo: the direct-mapped slots ([||] until the first miss) and
+     their count minus one — the cap until allocation, then the size. *)
+  memo : int array array;
+  memo_mask : int array;
+  mutable memo_words_left : int;
+  (* Reused row for mode_raw. *)
   scratch_row : int array array;
   in_scratch : 'l array array;
   dec_tbl : 'l array; (* [||] when the space is too large to tabulate *)
   bytes_per_label : int;
   key_buf : Bytes.t;
-  mutable spare_labels : int array;
-  mutable spare_outputs : int array;
+  (* [run_into]'s second buffer; with [pair_*] (allocated on first use)
+     also the two buffers [run_until_stable] and [settle] step through,
+     [cur_*] being the current state and [nxt_*] the other one. *)
+  spare_labels : int array;
+  spare_outputs : int array;
+  mutable pair_labels : int array;
+  mutable pair_outputs : int array;
+  mutable cur_labels : int array;
+  mutable cur_outputs : int array;
+  mutable nxt_labels : int array;
+  mutable nxt_outputs : int array;
+  (* The boxed entry points' encoded init, allocated on first use. *)
+  mutable init_labels : int array;
+  mutable init_outputs : int array;
+  visits : visits;
+  hashed_visits : bool; (* [card^m] overflows an int *)
   mutable hist : int array; (* outputs history scratch for [settle] *)
+  mutable entry : int; (* cycle entry of the last settle, -1 if none *)
   (* Full-coverage active-set detection (see [covers_all]). *)
   seen_stamp : int array;
   mutable stamp : int;
@@ -150,7 +147,7 @@ let create ?(max_table_words = default_max_table_words)
   let mode = Array.make n mode_raw in
   let tables = Array.make n [||] in
   let filled = Array.make n Bytes.empty in
-  let memo = Array.init n (fun _ -> empty_memo ()) in
+  let memo_mask = Array.make n 0 in
   let scratch_row = Array.make n [||] in
   let in_scratch = Array.make n [||] in
   let budget = ref max_table_words in
@@ -176,14 +173,17 @@ let create ?(max_table_words = default_max_table_words)
         tables.(i) <- Array.make (rows * width) 0;
         filled.(i) <- Bytes.make rows '\000';
         budget := !budget - (rows * width)
-    | Some _ when max_memo_entries > 0 ->
+    | Some rows when max_memo_entries > 0 ->
         mode.(i) <- mode_memo;
-        memo.(i) <- fresh_memo width
+        let cap =
+          min
+            (min memo_max_slots (memo_max_words / (width + 1)))
+            (min max_memo_entries rows)
+        in
+        memo_mask.(i) <- pow2_floor (max 1 cap) - 1
     | _ -> mode.(i) <- mode_raw
   done;
-  let bytes_per_label =
-    if card <= 0x100 then 1 else if card <= 0x10000 then 2 else 4
-  in
+  let bytes_per_label = Label.code_bytes p.Protocol.space in
   {
     p;
     input;
@@ -197,8 +197,9 @@ let create ?(max_table_words = default_max_table_words)
     mode;
     tables;
     filled;
-    memo;
-    max_memo_entries;
+    memo = Array.make n [||];
+    memo_mask;
+    memo_words_left = memo_budget_words;
     scratch_row;
     in_scratch;
     dec_tbl;
@@ -206,7 +207,26 @@ let create ?(max_table_words = default_max_table_words)
     key_buf = Bytes.create (m * bytes_per_label);
     spare_labels = Array.make m 0;
     spare_outputs = Array.make n 0;
+    pair_labels = [||];
+    pair_outputs = [||];
+    cur_labels = [||];
+    cur_outputs = [||];
+    nxt_labels = [||];
+    nxt_outputs = [||];
+    init_labels = [||];
+    init_outputs = [||];
+    visits =
+      {
+        slots = [||];
+        keys = [||];
+        steps = [||];
+        homes = [||];
+        arena = [||];
+        used = 0;
+      };
+    hashed_visits = Protocol.labelings_count p = None;
     hist = [||];
+    entry = -1;
     seen_stamp = Array.make (max n 1) 0;
     stamp = 0;
     full_active = [ -1 ];
@@ -235,8 +255,7 @@ let fill_row t i src row off =
    digits are recovered by reverse divmod (the code packs them
    most-significant first, exactly as [in_code] builds it), decoded into
    the same scratch and fed to the same reaction — bit-identical rows, no
-   source buffer. Used by the batched planes, where gathering a column
-   into a temporary int array would defeat the layout. *)
+   source buffer. Used by the memo tier and the batched planes. *)
 let fill_row_coded t i code row off =
   let din = t.in_off.(i + 1) - t.in_off.(i) in
   let inc = t.in_scratch.(i) in
@@ -266,46 +285,73 @@ let in_code t i src =
   done;
   !c
 
-(* [eval t src i] is node [i]'s reaction to [src] as [(row, base)]: the
-   out-edge codes live at [row.(base) .. row.(base + dout - 1)] and the
-   output at [row.(base + dout)]. The row may be shared scratch — consume
-   it before the next [eval]. Used on the cold paths (stability check,
-   settle refresh); the step loop inlines the same logic. *)
-let eval t src i =
-  let d = t.out_off.(i + 1) - t.out_off.(i) in
+(* Node [i]'s memo slots, allocated on its first miss within what is left
+   of the kernel's memo budget. *)
+let memo_table t i =
+  let mm = Array.unsafe_get t.memo i in
+  if Array.length mm > 0 then mm
+  else begin
+    let w1 = t.out_off.(i + 1) - t.out_off.(i) + 2 in
+    let slots =
+      pow2_floor (max 1 (min (t.memo_mask.(i) + 1) (t.memo_words_left / w1)))
+    in
+    t.memo_words_left <- max 0 (t.memo_words_left - (slots * w1));
+    let mm = Array.make (slots * w1) (-1) in
+    t.memo.(i) <- mm;
+    t.memo_mask.(i) <- slots - 1;
+    mm
+  end
+
+(* Offset of [code]'s row in node [i]'s memo [mm], computed into its slot
+   on a miss. The key is cleared while the row is rewritten, so a raising
+   reaction cannot leave a stale key over a half-written row. *)
+let memo_lookup t i mm code =
+  let w1 =
+    Array.unsafe_get t.out_off (i + 1) - Array.unsafe_get t.out_off i + 2
+  in
+  let slot = (memo_hash code land Array.unsafe_get t.memo_mask i) * w1 in
+  if Array.unsafe_get mm slot <> code then begin
+    Array.unsafe_set mm slot (-1);
+    fill_row_coded t i code mm (slot + 1);
+    Array.unsafe_set mm slot code
+  end;
+  slot + 1
+
+(* The array holding node [i]'s reaction rows: its table, its memo or its
+   scratch row. *)
+let row_array t i =
+  let mode = Array.unsafe_get t.mode i in
+  if mode = mode_table then Array.unsafe_get t.tables i
+  else if mode = mode_memo then memo_table t i
+  else Array.unsafe_get t.scratch_row i
+
+(* Offset in [row] (= [row_array t i]) of node [i]'s reaction to [src]: the
+   out-edge codes, then the output. Computes the row on a miss. *)
+let row_offset t i src row =
   let mode = Array.unsafe_get t.mode i in
   if mode = mode_table then begin
     let code = in_code t i src in
-    let base = code * (d + 1) in
-    let tbl = t.tables.(i) in
-    if Bytes.unsafe_get t.filled.(i) code = '\000' then begin
-      fill_row t i src tbl base;
-      Bytes.unsafe_set t.filled.(i) code '\001'
+    let base = code * (t.out_off.(i + 1) - t.out_off.(i) + 1) in
+    let flags = Array.unsafe_get t.filled i in
+    if Bytes.unsafe_get flags code = '\000' then begin
+      fill_row t i src row base;
+      Bytes.unsafe_set flags code '\001'
     end;
-    (tbl, base)
+    base
   end
-  else if mode = mode_memo then begin
-    let code = in_code t i src in
-    let mm = t.memo.(i) in
-    let mask = Array.length mm.keys - 1 in
-    let pos = memo_probe mm.keys mask code (memo_hash code land mask) in
-    if pos >= 0 then (mm.rows, mm.slot.(pos) * (d + 1))
-    else if mm.nrows < t.max_memo_entries then begin
-      let base = memo_add mm (d + 1) code in
-      fill_row t i src mm.rows base;
-      (mm.rows, base)
-    end
-    else begin
-      let row = t.scratch_row.(i) in
-      fill_row t i src row 0;
-      (row, 0)
-    end
-  end
+  else if mode = mode_memo then memo_lookup t i row (in_code t i src)
   else begin
-    let row = t.scratch_row.(i) in
     fill_row t i src row 0;
-    (row, 0)
+    0
   end
+
+(* [eval t src i] is node [i]'s reaction to [src] as [(row, base)]: the
+   out-edge codes live at [row.(base) .. row.(base + dout - 1)] and the
+   output at [row.(base + dout)]. The row may be shared scratch — consume
+   it before the next [eval]. *)
+let eval t src i =
+  let row = row_array t i in
+  (row, row_offset t i src row)
 
 let eval_row t ~src ~i = eval t src i
 
@@ -326,20 +372,8 @@ let eval_coded t i code =
     (tbl, base)
   end
   else if mode = mode_memo then begin
-    let mm = t.memo.(i) in
-    let mask = Array.length mm.keys - 1 in
-    let pos = memo_probe mm.keys mask code (memo_hash code land mask) in
-    if pos >= 0 then (mm.rows, mm.slot.(pos) * (d + 1))
-    else if mm.nrows < t.max_memo_entries then begin
-      let base = memo_add mm (d + 1) code in
-      fill_row_coded t i code mm.rows base;
-      (mm.rows, base)
-    end
-    else begin
-      let row = t.scratch_row.(i) in
-      fill_row_coded t i code row 0;
-      (row, 0)
-    end
+    let mm = memo_table t i in
+    (mm, memo_lookup t i mm code)
   end
   else begin
     let row = t.scratch_row.(i) in
@@ -347,9 +381,9 @@ let eval_coded t i code =
     (row, 0)
   end
 
-(* The hot loop: [eval] inlined per tier so that a warm step allocates
-   nothing — no [(row, base)] pair, no hashing of boxed keys, no closure
-   over the active list. *)
+(* The hot loop: the table and raw tiers inlined so that a warm step
+   allocates nothing — no [(row, base)] pair, no closure over the active
+   list. *)
 let rec apply_active t src dst dst_outputs active =
   match active with
   | [] -> ()
@@ -374,30 +408,14 @@ let rec apply_active t src dst dst_outputs active =
          Array.unsafe_set dst_outputs i (Array.unsafe_get tbl (base + d))
        end
        else if Array.unsafe_get t.mode i = mode_memo then begin
-         let code = in_code t i src in
-         let mm = Array.unsafe_get t.memo i in
-         let keys = mm.keys in
-         let mask = Array.length keys - 1 in
-         let pos = memo_probe keys mask code (memo_hash code land mask) in
-         let rows, base =
-           if pos >= 0 then (mm.rows, Array.unsafe_get mm.slot pos * (d + 1))
-           else if mm.nrows < t.max_memo_entries then begin
-             let base = memo_add mm (d + 1) code in
-             fill_row t i src mm.rows base;
-             (mm.rows, base)
-           end
-           else begin
-             let row = Array.unsafe_get t.scratch_row i in
-             fill_row t i src row 0;
-             (row, 0)
-           end
-         in
+         let mm = memo_table t i in
+         let base = memo_lookup t i mm (in_code t i src) in
          for k = 0 to d - 1 do
            Array.unsafe_set dst
              (Array.unsafe_get oflat (olo + k))
-             (Array.unsafe_get rows (base + k))
+             (Array.unsafe_get mm (base + k))
          done;
-         Array.unsafe_set dst_outputs i (Array.unsafe_get rows (base + d))
+         Array.unsafe_set dst_outputs i (Array.unsafe_get mm (base + d))
        end
        else begin
          let row = Array.unsafe_get t.scratch_row i in
@@ -492,159 +510,299 @@ let run t ~init ~schedule ~steps =
 (* Same stability predicate as {!Protocol.is_stable}, read off the packed
    state: every node's reaction must rewrite its out-edges unchanged. *)
 let is_stable_packed t src =
-  let rec check i =
-    if i >= t.n then true
-    else begin
-      let row, base = eval t src i in
-      let olo = t.out_off.(i) in
-      let d = t.out_off.(i + 1) - olo in
-      let rec same k =
-        k >= d
-        || (row.(base + k) = Array.unsafe_get src t.out_flat.(olo + k)
-            && same (k + 1))
-      in
-      if same 0 then check (i + 1) else false
-    end
-  in
-  check 0
+  let stable = ref true and i = ref 0 in
+  while !stable && !i < t.n do
+    let node = !i in
+    let row = row_array t node in
+    let base = row_offset t node src row in
+    let olo = t.out_off.(node) in
+    let d = t.out_off.(node + 1) - olo in
+    let k = ref 0 in
+    while !stable && !k < d do
+      if
+        Array.unsafe_get row (base + !k)
+        <> Array.unsafe_get src (Array.unsafe_get t.out_flat (olo + !k))
+      then stable := false;
+      incr k
+    done;
+    incr i
+  done;
+  !stable
 
 let is_stable t ~labels = is_stable_packed t labels
 
-(* Same packing as {!Protocol.config_key}: the labeling alone, little-endian
-   per label. The Bytes buffer is reused; only the final string allocates. *)
-let key_of t labels =
-  let bpl = t.bytes_per_label in
-  let buf = t.key_buf in
-  for e = 0 to t.m - 1 do
-    let v = ref (Array.unsafe_get labels e) in
-    for k = 0 to bpl - 1 do
-      Bytes.unsafe_set buf ((e * bpl) + k) (Char.unsafe_chr (!v land 0xff));
-      v := !v lsr 8
-    done
-  done;
-  Bytes.to_string buf
+(* Node [i]'s output when reacting to the packed labeling [labels] — the
+   settle refresh, also for batched instances whose horizon state lives in
+   a retirement snapshot. *)
+let node_output t ~labels ~i =
+  let row = row_array t i in
+  row.(row_offset t i labels row + t.out_off.(i + 1) - t.out_off.(i))
 
-exception Cycle_found of int * int
-exception Quiescent of int
+(* ------------------------------------------------------------------ *)
+(* Verdicts and settling: one packed core                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The visit-table key of a labeling (see [visits]). *)
+let labeling_key t labels =
+  let c = ref 0 in
+  if t.hashed_visits then
+    for e = 0 to t.m - 1 do
+      c := memo_hash (!c lxor Array.unsafe_get labels e)
+    done
+  else
+    for e = 0 to t.m - 1 do
+      c := (!c * t.card) + Array.unsafe_get labels e
+    done;
+  !c
+
+let grown a len =
+  let b = Array.make len 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Re-insert every entry into a slot array of [cap] (a power of two). *)
+let visits_rehash v cap =
+  let slots = Array.make cap (-1) and mask = cap - 1 in
+  for k = 0 to v.used - 1 do
+    let j = ref (memo_hash v.keys.(k) land mask) in
+    while slots.(!j) >= 0 do
+      j := (!j + 1) land mask
+    done;
+    slots.(!j) <- k;
+    v.homes.(k) <- !j
+  done;
+  v.slots <- slots
+
+let visits_reset v =
+  for k = 0 to v.used - 1 do
+    v.slots.(v.homes.(k)) <- -1
+  done;
+  v.used <- 0
+
+(* [visit t labels s] is the step at which [labels] was first met in this
+   run, or -1 after recording it as met at step [s]. *)
+let visit t labels s =
+  let v = t.visits in
+  if v.used = Array.length v.keys then begin
+    let cap = max 32 (2 * v.used) in
+    v.keys <- grown v.keys cap;
+    v.steps <- grown v.steps cap;
+    v.homes <- grown v.homes cap;
+    if t.hashed_visits then v.arena <- grown v.arena (cap * t.m)
+  end;
+  if 2 * (v.used + 1) > Array.length v.slots then
+    visits_rehash v (max 64 (2 * Array.length v.slots));
+  let key = labeling_key t labels in
+  let mask = Array.length v.slots - 1 in
+  let j = ref (memo_hash key land mask) and found = ref (-1) in
+  while !found < 0 && v.slots.(!j) >= 0 do
+    let k = v.slots.(!j) in
+    if
+      v.keys.(k) = key
+      && ((not t.hashed_visits)
+         ||
+         let base = k * t.m and e = ref 0 in
+         while !e < t.m && v.arena.(base + !e) = labels.(!e) do
+           incr e
+         done;
+         !e = t.m)
+    then found := k
+    else j := (!j + 1) land mask
+  done;
+  if !found >= 0 then v.steps.(!found)
+  else begin
+    let k = v.used in
+    v.slots.(!j) <- k;
+    v.keys.(k) <- key;
+    v.steps.(k) <- s;
+    v.homes.(k) <- !j;
+    if t.hashed_visits then Array.blit labels 0 v.arena (k * t.m) t.m;
+    v.used <- k + 1;
+    -1
+  end
+
+(* Point [cur_*] at a copy of the init held in [labels]/[outputs] (which
+   are never written) and [nxt_*] at the other kernel-owned pair. *)
+let restart t ~labels ~outputs =
+  if Array.length t.pair_labels <> t.m || Array.length t.pair_outputs <> t.n
+  then begin
+    t.pair_labels <- Array.make t.m 0;
+    t.pair_outputs <- Array.make t.n 0
+  end;
+  t.cur_labels <- t.pair_labels;
+  t.cur_outputs <- t.pair_outputs;
+  t.nxt_labels <- t.spare_labels;
+  t.nxt_outputs <- t.spare_outputs;
+  Array.blit labels 0 t.cur_labels 0 t.m;
+  Array.blit outputs 0 t.cur_outputs 0 t.n
+
+(* One step of [schedule] (step index [s]) from [cur_*] into [nxt_*], which
+   then swap. *)
+let advance t schedule s =
+  step_into t ~src:t.cur_labels ~src_outputs:t.cur_outputs ~dst:t.nxt_labels
+    ~dst_outputs:t.nxt_outputs ~active:(schedule.Schedule.active s);
+  let l = t.cur_labels and o = t.cur_outputs in
+  t.cur_labels <- t.nxt_labels;
+  t.cur_outputs <- t.nxt_outputs;
+  t.nxt_labels <- l;
+  t.nxt_outputs <- o
+
+(* Whether the last [advance] left the labeling unchanged. *)
+let unchanged t =
+  let e = ref 0 in
+  while
+    !e < t.m
+    && Array.unsafe_get t.cur_labels !e = Array.unsafe_get t.nxt_labels !e
+  do
+    incr e
+  done;
+  !e = t.m
+
+(* {!Engine.run_until_stable}'s loop. Deterministic dynamics: if the
+   labeling recurs at the same schedule phase, the run repeats that segment
+   forever, and the segment contains a label change iff the labeling
+   sequence diverges. If it contains none, the labeling has been constant
+   since [last_change], and the run is re-played to that step. *)
+let rec verdict_loop t ~labels ~outputs ~schedule ~period ~max_steps s
+    last_change =
+  if is_stable_packed t t.cur_labels then Stabilized s
+  else if s >= max_steps then Exhausted
+  else begin
+    let t0 =
+      if period > 0 && s mod period = 0 then visit t t.cur_labels s else -1
+    in
+    if t0 < 0 then begin
+      advance t schedule s;
+      verdict_loop t ~labels ~outputs ~schedule ~period ~max_steps (s + 1)
+        (if unchanged t then last_change else s + 1)
+    end
+    else if last_change > t0 then
+      Oscillating { entered = t0; period = s - t0 }
+    else begin
+      restart t ~labels ~outputs;
+      for s = 0 to last_change - 1 do
+        advance t schedule s
+      done;
+      Stabilized last_change
+    end
+  end
+
+(* The verdict from the packed init in [labels]/[outputs]; [cur_*] then
+   hold the configuration {!Engine.run_until_stable} returns with it. *)
+let verdict t ~labels ~outputs ~schedule ~max_steps =
+  restart t ~labels ~outputs;
+  visits_reset t.visits;
+  let period = match schedule.Schedule.period with Some q -> q | None -> 0 in
+  verdict_loop t ~labels ~outputs ~schedule ~period ~max_steps 0 0
+
+let rows_equal hist n r1 r2 =
+  let j = ref 0 in
+  while
+    !j < n
+    && Array.unsafe_get hist ((r1 * n) + !j)
+       = Array.unsafe_get hist ((r2 * n) + !j)
+  do
+    incr j
+  done;
+  !j = n
+
+(* {!Engine.settle} on the packed init: the settle time, or -1 when the
+   run does not output-stabilize. The replay to the certification horizon
+   records only the per-step output vectors — row [s] of [hist] is the
+   output vector after [s] steps — and leaves the horizon state in
+   [cur_*] and the cycle entry (-1 if none) in [entry]. *)
+let settle_time t ~labels ~outputs ~schedule ~max_steps =
+  let horizon, entry =
+    match verdict t ~labels ~outputs ~schedule ~max_steps with
+    | Exhausted -> (-1, -1)
+    | Stabilized rounds ->
+        let slack_period =
+          match schedule.Schedule.period with Some q -> q | None -> 1
+        in
+        (rounds + (max 1 t.n * slack_period), -1)
+    | Oscillating { entered; period } -> (entered + (2 * period), entered)
+  in
+  if horizon < 0 then -1
+  else begin
+    let n = t.n in
+    let need = (horizon + 1) * n in
+    if Array.length t.hist < need then t.hist <- Array.make need 0;
+    let hist = t.hist in
+    restart t ~labels ~outputs;
+    Array.blit t.cur_outputs 0 hist 0 n;
+    for s = 0 to horizon - 1 do
+      advance t schedule s;
+      Array.blit t.cur_outputs 0 hist ((s + 1) * n) n
+    done;
+    t.entry <- entry;
+    (* Through a cycle the outputs must stay constant, from one step after
+       its entry to the horizon, for the run to output-stabilize. *)
+    let constant = ref true in
+    if entry >= 0 then
+      for s = entry + 2 to horizon do
+        if not (rows_equal hist n s (entry + 1)) then constant := false
+      done;
+    if not !constant then -1
+    else begin
+      let first = ref horizon in
+      while !first > 0 && rows_equal hist n (!first - 1) horizon do
+        decr first
+      done;
+      !first
+    end
+  end
+
+let check_buffers t what ~labels ~outputs =
+  if Array.length labels <> t.m || Array.length outputs <> t.n then
+    invalid_arg ("Kernel." ^ what ^ ": buffer sizes must match the protocol")
+
+let run_until_stable_codes t ~labels ~outputs ~schedule ~max_steps =
+  check_buffers t "run_until_stable_codes" ~labels ~outputs;
+  verdict t ~labels ~outputs ~schedule ~max_steps
+
+let settle_codes t ~labels ~outputs ~schedule ~max_steps =
+  check_buffers t "settle_codes" ~labels ~outputs;
+  let s = settle_time t ~labels ~outputs ~schedule ~max_steps in
+  if s < 0 then None else Some s
+
+(* The boxed entry points encode their init into kernel-owned buffers and
+   box only what their result type returns. *)
+let load_init t init =
+  if Array.length t.init_labels <> t.m || Array.length t.init_outputs <> t.n
+  then begin
+    t.init_labels <- Array.make t.m 0;
+    t.init_outputs <- Array.make t.n 0
+  end;
+  load t init ~labels:t.init_labels ~outputs:t.init_outputs
+
+let current t = store t ~labels:t.cur_labels ~outputs:t.cur_outputs
 
 let run_until_stable t ~init ~schedule ~max_steps =
-  let cur = ref (Array.make t.m 0) and curo = ref (Array.make t.n 0) in
-  let nxt = ref (Array.make t.m 0) and nxto = ref (Array.make t.n 0) in
-  load t init ~labels:!cur ~outputs:!curo;
-  let period_opt = schedule.Schedule.period in
-  let seen = Hashtbl.create 256 in
-  let rec loop s key last_change =
-    if is_stable_packed t !cur then
-      Engine.Stabilized
-        { rounds = s; config = store t ~labels:!cur ~outputs:!curo }
-    else if s >= max_steps then
-      Engine.Exhausted (store t ~labels:!cur ~outputs:!curo)
-    else begin
-      (match period_opt with
-      | Some period when s mod period = 0 -> (
-          match Hashtbl.find_opt seen key with
-          | Some t0 ->
-              if last_change > t0 then raise (Cycle_found (t0, s - t0))
-              else raise (Quiescent last_change)
-          | None -> Hashtbl.replace seen key s)
-      | _ -> ());
-      step_into t ~src:!cur ~src_outputs:!curo ~dst:!nxt ~dst_outputs:!nxto
-        ~active:(schedule.Schedule.active s);
-      let tl = !cur and to_ = !curo in
-      cur := !nxt;
-      curo := !nxto;
-      nxt := tl;
-      nxto := to_;
-      let next_key = key_of t !cur in
-      let last_change =
-        if String.equal next_key key then last_change else s + 1
-      in
-      loop (s + 1) next_key last_change
-    end
-  in
-  match loop 0 (key_of t !cur) 0 with
-  | result -> result
-  | exception Cycle_found (entered, period) ->
-      Engine.Oscillating { entered; period }
-  | exception Quiescent since ->
-      Engine.Stabilized
-        { rounds = since; config = run t ~init ~schedule ~steps:since }
+  load_init t init;
+  match
+    verdict t ~labels:t.init_labels ~outputs:t.init_outputs ~schedule
+      ~max_steps
+  with
+  | Stabilized rounds -> Engine.Stabilized { rounds; config = current t }
+  | Oscillating { entered; period } -> Engine.Oscillating { entered; period }
+  | Exhausted -> Engine.Exhausted (current t)
 
 let settle t ~init ~schedule ~max_steps =
-  match run_until_stable t ~init ~schedule ~max_steps with
-  | Engine.Exhausted _ -> None
-  | outcome -> (
-      let horizon, cycle_entry =
-        match outcome with
-        | Engine.Stabilized { rounds; _ } ->
-            let slack = max 1 t.n
-            and slack_period =
-              match schedule.Schedule.period with Some q -> q | None -> 1
-            in
-            (rounds + (slack * slack_period), None)
-        | Engine.Oscillating { entered; period } ->
-            (entered + (2 * period), Some entered)
-        | Engine.Exhausted _ -> assert false
-      in
-      (* Replay once, keeping only the horizon state and the per-step output
-         vectors — row [s] of [hist] is the output vector after [s] steps. *)
-      let need = (horizon + 1) * t.n in
-      if Array.length t.hist < need then t.hist <- Array.make need 0;
-      let hist = t.hist in
-      let cur = ref (Array.make t.m 0) and curo = ref (Array.make t.n 0) in
-      let nxt = ref (Array.make t.m 0) and nxto = ref (Array.make t.n 0) in
-      load t init ~labels:!cur ~outputs:!curo;
-      Array.blit !curo 0 hist 0 t.n;
-      for s = 0 to horizon - 1 do
-        step_into t ~src:!cur ~src_outputs:!curo ~dst:!nxt ~dst_outputs:!nxto
-          ~active:(schedule.Schedule.active s);
-        let tl = !cur and to_ = !curo in
-        cur := !nxt;
-        curo := !nxto;
-        nxt := tl;
-        nxto := to_;
-        Array.blit !curo 0 hist ((s + 1) * t.n) t.n
-      done;
-      let rows_equal r1 r2 =
-        let rec go j =
-          j >= t.n
-          || (hist.((r1 * t.n) + j) = hist.((r2 * t.n) + j) && go (j + 1))
-        in
-        go 0
-      in
-      let settled_outputs =
-        match cycle_entry with
-        | None ->
-            (* Labels are stable at the horizon; refresh so every node has
-               reported. *)
-            Some
-              (Array.init t.n (fun i ->
-                   let row, base = eval t !cur i in
-                   row.(base + t.out_off.(i + 1) - t.out_off.(i))))
-        | Some entered ->
-            let reference = entered + 1 in
-            let constant = ref true in
-            for s = entered + 2 to horizon do
-              if not (rows_equal s reference) then constant := false
-            done;
-            if !constant then Some (Array.sub hist (reference * t.n) t.n)
-            else None
-      in
-      match settled_outputs with
-      | None -> None
-      | Some settled_outputs ->
-          let rec first_bad s best =
-            if s < 0 then best
-            else if rows_equal s horizon then first_bad (s - 1) s
-            else best
-          in
-          let settle_time = first_bad horizon horizon in
-          Some
-            {
-              Engine.settle_time;
-              settled_outputs;
-              horizon_config = store t ~labels:!cur ~outputs:!curo;
-            })
+  load_init t init;
+  let settle_time =
+    settle_time t ~labels:t.init_labels ~outputs:t.init_outputs ~schedule
+      ~max_steps
+  in
+  if settle_time < 0 then None
+  else
+    let settled_outputs =
+      if t.entry < 0 then
+        (* Labels are stable at the horizon; refresh so every node has
+           reported. *)
+        Array.init t.n (fun i -> node_output t ~labels:t.cur_labels ~i)
+      else Array.sub t.hist ((t.entry + 1) * t.n) t.n
+    in
+    Some { Engine.settle_time; settled_outputs; horizon_config = current t }
 
 (* ------------------------------------------------------------------ *)
 (* Batched planes (the primitives behind {!Batch})                     *)
@@ -772,36 +930,17 @@ let step_plane t ~stride ~live ~nlive ~src ~src_outputs ~dst ~dst_outputs
              done
          end
          else if Array.unsafe_get t.mode i = mode_memo then begin
-           let mm = Array.unsafe_get t.memo i in
+           let mm = memo_table t i in
            for p = 0 to nlive - 1 do
-             let code = Array.unsafe_get codes p in
-             (* Re-read [mm.keys] per instance: a miss below can grow the
-                memo mid-sweep. *)
-             let keys = mm.keys in
-             let mask = Array.length keys - 1 in
-             let pos = memo_probe keys mask code (memo_hash code land mask) in
-             let rows, base =
-               if pos >= 0 then
-                 (mm.rows, Array.unsafe_get mm.slot pos * (d + 1))
-               else if mm.nrows < t.max_memo_entries then begin
-                 let base = memo_add mm (d + 1) code in
-                 fill_row_coded t i code mm.rows base;
-                 (mm.rows, base)
-               end
-               else begin
-                 let row = Array.unsafe_get t.scratch_row i in
-                 fill_row_coded t i code row 0;
-                 (row, 0)
-               end
-             in
+             let base = memo_lookup t i mm (Array.unsafe_get codes p) in
              let j = if dense then p else Array.unsafe_get live p in
              for k = 0 to d - 1 do
                Bigarray.Array1.unsafe_set dst
                  ((Array.unsafe_get oflat (olo + k) * stride) + j)
-                 (Array.unsafe_get rows (base + k))
+                 (Array.unsafe_get mm (base + k))
              done;
              Bigarray.Array1.unsafe_set dst_outputs (obase + j)
-               (Array.unsafe_get rows (base + d))
+               (Array.unsafe_get mm (base + d))
            done
          end
          else begin
@@ -855,7 +994,8 @@ let stable_in_plane t ~stride ~j ~src =
   in
   check 0
 
-(* [key_of] for one plane column — same byte packing, same reused buffer. *)
+(* Instance [j]'s labeling as a string key: {!Label.code_bytes} bytes per
+   code, little-endian, the packing of {!Protocol.config_key}. *)
 let key_in_plane t ~stride ~j ~src =
   let bpl = t.bytes_per_label in
   let buf = t.key_buf in
@@ -869,10 +1009,3 @@ let key_in_plane t ~stride ~j ~src =
     done
   done;
   Bytes.to_string buf
-
-(* Node [i]'s output when reacting to the packed labeling [labels] — the
-   settle refresh for batched instances whose horizon state lives in a
-   retirement snapshot. *)
-let node_output t ~labels ~i =
-  let row, base = eval t labels i in
-  row.(base + t.out_off.(i + 1) - t.out_off.(i))

@@ -16,8 +16,10 @@
       word budget, the node's reaction is a lazily filled lookup table
       indexed by the packed incoming-label code: a step is pure int loads;
     - {b sparse memo} — when the table would be too large but the packed
-      incoming code still fits an [int], rows are memoized in a hashtable
-      keyed by incoming code (bounded; protocols revisit few codes);
+      incoming code still fits an [int], the node gets one direct-mapped
+      array, allocated on its first miss: each slot holds an incoming code
+      next to its row, and a colliding code overwrites the slot (rows are
+      pure functions of the code, so eviction only costs a recomputation);
     - {b raw} — otherwise the reaction function is invoked on a reused
       scratch buffer each time (no table, still no per-step copies).
 
@@ -33,10 +35,13 @@ type ('x, 'l) t
 
 (** [create p ~input] precomputes the evaluation strategy and tables.
     [max_table_words] (default [2^22]) bounds the total size of all direct
-    tables; [max_memo_entries] (default [2^18]) bounds each sparse memo
-    (beyond it rows are recomputed instead of cached). Setting either to [0]
-    forces the next-cheaper strategy — the differential tests use this to
-    exercise every tier. *)
+    tables. [max_memo_entries] (default [2^18]) bounds the slots of each
+    node's memo, which also never exceeds 4096 slots, [2^14] words or the
+    number of distinct incoming codes, and is rounded down to a power of
+    two; the memos of one kernel share a [2^22]-word budget, past which a
+    node gets one slot. Setting either to [0] forces the next-cheaper
+    strategy, and a small [max_memo_entries] makes nearly every lookup
+    evict — the differential tests use both to exercise every tier. *)
 val create :
   ?max_table_words:int ->
   ?max_memo_entries:int ->
@@ -102,7 +107,9 @@ val run :
 
 (** [run_until_stable t ~init ~schedule ~max_steps] reproduces
     {!Engine.run_until_stable} exactly (same verdicts, rounds, cycle entry
-    points and configurations) on the packed representation. *)
+    points and configurations) on the packed representation. It is
+    {!run_until_stable_codes} on [init]'s codes, boxing only the returned
+    configuration. *)
 val run_until_stable :
   ('x, 'l) t ->
   init:'l Protocol.config ->
@@ -111,15 +118,48 @@ val run_until_stable :
   'l Engine.outcome
 
 (** [settle t ~init ~schedule ~max_steps] reproduces {!Engine.settle}
-    exactly: same [settle_time], [settled_outputs] and [horizon_config].
-    The replay that certification needs records only the per-step output
-    vectors (in a reused flat buffer), never whole configurations. *)
+    exactly: same [settle_time], [settled_outputs] and [horizon_config]. It
+    is {!settle_codes} on [init]'s codes, boxing only the result. *)
 val settle :
   ('x, 'l) t ->
   init:'l Protocol.config ->
   schedule:Schedule.t ->
   max_steps:int ->
   'l Engine.settled option
+
+(** {!Engine.outcome} without configurations. *)
+type verdict =
+  | Stabilized of int  (** rounds *)
+  | Oscillating of { entered : int; period : int }
+  | Exhausted
+
+(** [run_until_stable_codes t ~labels ~outputs ~schedule ~max_steps] is the
+    verdict of {!run_until_stable} from the packed init in [labels] (length
+    [num_edges]) and [outputs] (length [num_nodes]), which are only read.
+    The run steps kernel-owned buffers and detects cycles in a
+    kernel-owned int-keyed table (keyed by the labeling's mixed-radix code
+    when [card^num_edges] fits an [int], by a hash confirmed against the
+    labeling otherwise), so a warm call allocates only its verdict. *)
+val run_until_stable_codes :
+  ('x, 'l) t ->
+  labels:int array ->
+  outputs:int array ->
+  schedule:Schedule.t ->
+  max_steps:int ->
+  verdict
+
+(** [settle_codes t ~labels ~outputs ~schedule ~max_steps] is the
+    [settle_time] of {!settle} from the packed init in [labels] and
+    [outputs] (only read), [None] when {!settle} is [None]. The replay that
+    certification needs records only the per-step output vectors, in a
+    reused flat buffer. *)
+val settle_codes :
+  ('x, 'l) t ->
+  labels:int array ->
+  outputs:int array ->
+  schedule:Schedule.t ->
+  max_steps:int ->
+  int option
 
 (** {1 Batched planes}
 
@@ -160,8 +200,9 @@ val step_plane :
 val stable_in_plane : ('x, 'l) t -> stride:int -> j:int -> src:plane -> bool
 
 (** [key_in_plane t ~stride ~j ~src] packs instance [j]'s edge labels into
-    the same string key {!run_until_stable} deduplicates on — byte-compatible
-    with the per-instance path, so cycle detection agrees exactly. *)
+    the key {!Protocol.config_key} builds for that labeling
+    ({!Label.code_bytes} bytes per code), so two instances share a key iff
+    their labelings coincide. {!Batch} deduplicates on it. *)
 val key_in_plane : ('x, 'l) t -> stride:int -> j:int -> src:plane -> string
 
 (** [is_stable t ~labels] is {!Protocol.is_stable} on a packed edge

@@ -13,6 +13,12 @@ let bit_length t =
   in
   loop 0 1
 
+let code_bytes t =
+  if t.card <= 0x100 then 1
+  else if t.card <= 0x10000 then 2
+  else if t.card <= 0x1_0000_0000 then 4
+  else 8
+
 let bool =
   {
     card = 2;

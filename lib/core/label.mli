@@ -19,6 +19,10 @@ val complexity : 'a t -> float
 (** Number of bits needed to write a label, [ceil (log2 card)]. *)
 val bit_length : 'a t -> int
 
+(** Bytes per code in a labeling key ({!Protocol.config_key}): 1, 2, 4 or
+    8, the fewest that hold every code in [0 .. card - 1]. *)
+val code_bytes : 'a t -> int
+
 (** Σ = \{false, true\}, the 1-bit space of Example 1 and Theorem 4.1. *)
 val bool : bool t
 

@@ -40,10 +40,7 @@ let encode_config p config =
 (* Keys pack each encoded label into as few bytes as needed; with outputs
    excluded two configurations share a key iff their labelings coincide. *)
 let config_key p config =
-  let card = p.space.Label.card in
-  let bytes_per_label =
-    if card <= 0x100 then 1 else if card <= 0x10000 then 2 else 4
-  in
+  let bytes_per_label = Label.code_bytes p.space in
   let m = Array.length config.labels in
   let buf = Bytes.create (m * bytes_per_label) in
   for e = 0 to m - 1 do

@@ -55,7 +55,8 @@ val encode_config : ('x, 'l) t -> 'l config -> int
 
 (** [config_key p config] is a compact hashable key for the labeling part of
     a configuration (outputs excluded, matching the paper's notion of label
-    convergence). *)
+    convergence). Each code takes {!Label.code_bytes} bytes, so two
+    configurations share a key iff their labelings coincide. *)
 val config_key : ('x, 'l) t -> 'l config -> string
 
 (** [apply p ~input config i] evaluates node [i]'s reaction function against

@@ -60,41 +60,65 @@ type campaign = {
 let scenario name schedule_name fresh fresh_batch =
   { name; schedule_name; fresh; fresh_batch; recover = fresh () }
 
+(* [config]'s label codes and outputs, in fresh buffers: the scalar
+   contexts corrupt and step codes, never boxed configurations. *)
+let codes kern config =
+  let labels = Array.make (Kernel.num_edges kern) 0
+  and outputs = Array.make (Kernel.num_nodes kern) 0 in
+  Kernel.load kern config ~labels ~outputs;
+  (labels, outputs)
+
 let example1 ?(n = 4) () =
   let n = max 3 n in
   let p = Clique_example.make n in
   let input = Clique_example.input n in
   let init = Clique_example.oscillation_init p in
   let schedule = Schedule.synchronous n in
+  let card = p.Protocol.space.Label.card in
+  let m = Protocol.num_edges p in
+  (* The healthy settle does not depend on the corruption: each context
+     certifies it once per step budget and keeps its horizon configuration,
+     boxed and as codes. *)
+  let healthy kern =
+    let memo = ref None in
+    fun max_steps ->
+      match !memo with
+      | Some (k, h) when k = max_steps -> h
+      | _ ->
+          let h =
+            Option.map
+              (fun (s : _ Engine.settled) ->
+                (s.Engine.horizon_config, codes kern s.Engine.horizon_config))
+              (Kernel.settle kern ~init ~schedule ~max_steps)
+          in
+          memo := Some (max_steps, h);
+          h
+  in
   let fresh () =
     let kern = Kernel.create p ~input in
+    let healthy = healthy kern in
+    let labels = Array.make m 0 in
     fun ~fraction ~seed ~max_steps ->
-      (* [Fault.recovery_time] through the kernel: certify the healthy
-         settle, corrupt its horizon configuration, re-settle. *)
-      match Kernel.settle kern ~init ~schedule ~max_steps with
+      (* [Fault.recovery_time] through the kernel, on label codes: corrupt
+         the healthy horizon, re-settle. *)
+      match healthy max_steps with
       | None -> None
-      | Some healthy -> (
-          let damaged =
-            Fault.corrupt p ~seed ~fraction healthy.Engine.horizon_config
-          in
-          match Kernel.settle kern ~init:damaged ~schedule ~max_steps with
-          | Some recovered -> Some recovered.Engine.settle_time
-          | None -> None)
+      | Some (_, (horizon, outputs)) ->
+          Fault.corrupt_codes ~card ~seed ~fraction ~src:horizon ~dst:labels;
+          Kernel.settle_codes kern ~labels ~outputs ~schedule ~max_steps
   in
   let fresh_batch () =
     let kern = Kernel.create p ~input in
+    let healthy = healthy kern in
     let bt = Batch.create kern in
     fun ~fractions ~seeds ~max_steps ->
       let b = Array.length seeds in
-      (* The healthy settle is corruption-independent, so one certification
-         per block replaces the per-run one — same deterministic values. *)
-      match Kernel.settle kern ~init ~schedule ~max_steps with
+      match healthy max_steps with
       | None -> Array.make b None
-      | Some healthy ->
+      | Some (horizon, _) ->
           let inits =
             Array.init b (fun t ->
-                Fault.corrupt p ~seed:seeds.(t) ~fraction:fractions.(t)
-                  healthy.Engine.horizon_config)
+                Fault.corrupt p ~seed:seeds.(t) ~fraction:fractions.(t) horizon)
           in
           Batch.settle bt ~inits ~schedule ~max_steps
           |> Array.map (function
@@ -127,10 +151,12 @@ let d_counter ?(n = 5) ?(d = 8) () =
   let first_out =
     Array.init n (fun j -> (Digraph.out_edges p.Protocol.graph j).(0))
   in
+  let card = p.Protocol.space.Label.card in
   let fresh () =
     let kern = Kernel.create p ~input in
     let bufs = Array.init 2 (fun _ -> Array.make m 0) in
     let obufs = Array.init 2 (fun _ -> Array.make n 0) in
+    let steady_labels, steady_outputs = codes kern steady in
     let counter_at labels j =
       let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
       c
@@ -141,10 +167,10 @@ let d_counter ?(n = 5) ?(d = 8) () =
       go 1
     in
     fun ~fraction ~seed ~max_steps ->
-      let damaged = Fault.corrupt p ~seed ~fraction steady in
       let cur = ref bufs.(0) and curo = ref obufs.(0) in
       let nxt = ref bufs.(1) and nxto = ref obufs.(1) in
-      Kernel.load kern damaged ~labels:!cur ~outputs:!curo;
+      Fault.corrupt_codes ~card ~seed ~fraction ~src:steady_labels ~dst:!cur;
+      Array.blit steady_outputs 0 !curo 0 n;
       let run_len = ref 0 in
       let found = ref None in
       let s = ref 0 in
@@ -227,14 +253,19 @@ let ring_oscillator ?(n = 5) () =
       ~init:(Protocol.uniform_config p false)
       ~schedule ~steps:(4 * n)
   in
+  let card = p.Protocol.space.Label.card in
   let fresh () =
     let kern = Kernel.create p ~input in
+    let steady_labels, outputs = codes kern steady in
+    let labels = Array.make (Array.length steady_labels) 0 in
     fun ~fraction ~seed ~max_steps ->
-      let damaged = Fault.corrupt p ~seed ~fraction steady in
-      match Kernel.run_until_stable kern ~init:damaged ~schedule ~max_steps with
-      | Engine.Oscillating { entered; _ } -> Some entered
-      | Engine.Stabilized { rounds; _ } -> Some rounds
-      | Engine.Exhausted _ -> None
+      Fault.corrupt_codes ~card ~seed ~fraction ~src:steady_labels ~dst:labels;
+      match
+        Kernel.run_until_stable_codes kern ~labels ~outputs ~schedule ~max_steps
+      with
+      | Kernel.Oscillating { entered; _ } -> Some entered
+      | Kernel.Stabilized rounds -> Some rounds
+      | Kernel.Exhausted -> None
   in
   let fresh_batch () =
     let kern = Kernel.create p ~input in

@@ -58,7 +58,9 @@ type campaign = {
 
 (** Example 1 on [K_n] (default [n = 4]) under the synchronous schedule;
     recovery is output re-stabilization (the
-    {!Stateless_core.Fault.recovery_time} measurement, run on the kernel). *)
+    {!Stateless_core.Fault.recovery_time} measurement, run on the kernel).
+    The healthy settle does not depend on the corruption, so each context
+    certifies it once per step budget. *)
 val example1 : ?n:int -> unit -> scenario
 
 (** The D-counter on an [n]-ring mod [d] (defaults [n = 5], [d = 8]):

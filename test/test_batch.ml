@@ -1,7 +1,7 @@
 (* Differential suite: the batched lock-step {!Batch} against per-instance
    {!Kernel} runs on randomized protocols, schedules and all three reaction
-   tiers, for batch sizes {1, 2, 7, 64}; plus batched campaign determinism
-   across batch sizes and domain counts. *)
+   tiers (plus an evicting memo), for batch sizes {1, 2, 7, 64}; plus
+   batched campaign determinism across batch sizes and domain counts. *)
 
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
@@ -16,12 +16,14 @@ let random_config = Proptest.random_config
 let schedules_for seed n = Proptest.schedules_for seed n
 let config_eq = Proptest.config_eq
 
-(* One batch per tier; the tier choice must stay observably invisible
-   through the planes exactly as it is through the per-instance kernel. *)
+(* One batch per tier, plus a two-slot memo where nearly every lookup
+   evicts; the choice must stay observably invisible through the planes
+   exactly as it is through the per-instance kernel. *)
 let kernels p ~input =
   [
     ("table", Kernel.create p ~input);
     ("memo", Kernel.create ~max_table_words:0 p ~input);
+    ("evict", Kernel.create ~max_table_words:0 ~max_memo_entries:2 p ~input);
     ("raw", Kernel.create ~max_table_words:0 ~max_memo_entries:0 p ~input);
   ]
 

@@ -10,6 +10,7 @@ module Digraph = Stateless_graph.Digraph
 module Checker = Stateless_checker.Checker
 module Faultlab = Stateless_faultlab.Faultlab
 module Feedback = Stateless_games.Feedback
+module D_counter = Stateless_counter.D_counter
 open Stateless_core
 
 let check = Alcotest.(check int)
@@ -134,6 +135,61 @@ let test_corrupt_rate_tracks_fraction () =
     (Printf.sprintf "mean rate %.3f near 0.5" mean)
     true
     (mean > 0.4 && mean < 0.6)
+
+(* [Fault.corrupt_codes] must write the codes of exactly the labeling
+   [Fault.corrupt] returns — same draws, hence same labels — on every
+   campaign label space, plus a singleton space where no code is drawn. *)
+let test_corrupt_codes_matches_boxed () =
+  let check_space : type x l.
+      string -> (x, l) Protocol.t -> l Protocol.config -> unit =
+   fun name p config ->
+    let space = p.Protocol.space in
+    let card = space.Label.card in
+    let src = Array.map space.Label.encode config.Protocol.labels in
+    List.iter
+      (fun fraction ->
+        for seed = 1 to 40 do
+          let boxed = Fault.corrupt p ~seed ~fraction config in
+          let expect = Array.map space.Label.encode boxed.Protocol.labels in
+          let dst = Array.make (Array.length src) (-1) in
+          Fault.corrupt_codes ~card ~seed ~fraction ~src ~dst;
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s fraction %g seed %d" name fraction seed)
+            expect dst;
+          let inplace = Array.copy src in
+          Fault.corrupt_codes ~card ~seed ~fraction ~src:inplace ~dst:inplace;
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s in place, fraction %g seed %d" name fraction
+               seed)
+            expect inplace
+        done)
+      [ 0.0; 0.1; 0.5; 1.0 ]
+  in
+  let e1 = Clique_example.make 4 in
+  check_space "example1" e1 (Clique_example.oscillation_init e1);
+  let dc = D_counter.make ~n:5 ~d:8 () in
+  let pd = D_counter.protocol dc in
+  check_space "d_counter" pd
+    (Engine.run pd ~input:(D_counter.input dc)
+       ~init:(Protocol.uniform_config pd (pd.Protocol.space.Label.decode 0))
+       ~schedule:(Schedule.synchronous 5) ~steps:(D_counter.burn_in dc));
+  let osc = Feedback.ring_oscillator 5 in
+  check_space "oscillator" osc
+    (Protocol.config_of_labels osc [| true; false; true; false; true |]);
+  let single =
+    {
+      Protocol.name = "singleton";
+      graph = Builders.ring_uni 3;
+      space = Label.int 1;
+      react = (fun _ () _ -> ([| 0 |], 0));
+    }
+  in
+  check_space "card 1" single (Protocol.uniform_config single 0);
+  Alcotest.check_raises "fraction out of range"
+    (Invalid_argument "Fault_model.uniform_codes: fraction must be in [0, 1]")
+    (fun () ->
+      Fault.corrupt_codes ~card:2 ~seed:1 ~fraction:1.5 ~src:[| 0 |]
+        ~dst:[| 0 |])
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial corruption                                              *)
@@ -406,6 +462,49 @@ let test_campaign_identical_across_domains () =
     [ Faultlab.example1 ~n:3 (); Faultlab.d_counter ~n:3 ~d:4 ();
       Faultlab.ring_oscillator ~n:3 () ]
 
+(* [Faultlab.run_matrix] rows of the three default scenarios at 200 seeds,
+   recorded before recovery runs moved onto label codes: (scenario,
+   fraction, runs, recovered, mean, p50, p95, worst). Every batch size and
+   domain count must reproduce them exactly. *)
+let golden_rows =
+  [
+    ("example1_k4", 0x1.999999999999ap-4, 200, 200, 0x1.47ae147ae147bp-7, 0, 0, 2);
+    ("example1_k4", 0x1p-2, 200, 200, 0x1.0a3d70a3d70a4p-3, 0, 2, 2);
+    ("example1_k4", 0x1p-1, 200, 200, 0x1.c51eb851eb852p-1, 0, 2, 3);
+    ("example1_k4", 0x1.8p-1, 200, 200, 0x1.ef5c28f5c28f6p+0, 2, 3, 3);
+    ("example1_k4", 0x1p+0, 200, 200, 0x1p+0, 1, 1, 1);
+    ("d_counter_n5_d8", 0x1.999999999999ap-4, 200, 200, 0x1.47ae147ae147bp+1, 0, 9, 9);
+    ("d_counter_n5_d8", 0x1p-2, 200, 200, 0x1.470a3d70a3d71p+2, 6, 9, 9);
+    ("d_counter_n5_d8", 0x1p-1, 200, 200, 0x1.e99999999999ap+2, 8, 9, 9);
+    ("d_counter_n5_d8", 0x1.8p-1, 200, 200, 0x1.0e147ae147ae1p+3, 9, 9, 9);
+    ("d_counter_n5_d8", 0x1p+0, 200, 200, 0x1.1028f5c28f5c3p+3, 9, 9, 9);
+    ("ring_oscillator_5", 0x1.999999999999ap-4, 200, 200, 0x1.099999999999ap+1, 0, 5, 5);
+    ("ring_oscillator_5", 0x1p-2, 200, 200, 0x1.f99999999999ap+1, 5, 5, 5);
+    ("ring_oscillator_5", 0x1p-1, 200, 200, 0x1.2cccccccccccdp+2, 5, 5, 5);
+    ("ring_oscillator_5", 0x1.8p-1, 200, 200, 0x1.d666666666666p+1, 5, 5, 5);
+    ("ring_oscillator_5", 0x1p+0, 200, 200, 0x0p+0, 0, 0, 0);
+  ]
+
+let test_golden_rows () =
+  let rows ~batch ~domains =
+    List.concat_map
+      (fun sc ->
+        let c, _ = Faultlab.run_matrix ~seeds:200 ~batch ~domains sc in
+        List.map
+          (fun (s : Faultlab.fraction_stats) ->
+            ( c.Faultlab.scenario_name, s.fraction, s.runs, s.recovered,
+              s.mean, s.p50, s.p95, s.worst ))
+          c.Faultlab.stats)
+      (Faultlab.default_scenarios ())
+  in
+  List.iter
+    (fun (batch, domains) ->
+      check_bool
+        (Printf.sprintf "golden rows at batch %d, %d domains" batch domains)
+        true
+        (rows ~batch ~domains = golden_rows))
+    [ (1, 1); (16, 1); (1, 2); (16, 2) ]
+
 let test_adversarial_identical_across_domains () =
   let p = Clique_example.make 4 in
   let input = Clique_example.input 4 in
@@ -472,6 +571,8 @@ let () =
             test_corrupt_full_fraction_changes_every_label;
           Alcotest.test_case "rate tracks fraction" `Quick
             test_corrupt_rate_tracks_fraction;
+          Alcotest.test_case "codes match boxed" `Quick
+            test_corrupt_codes_matches_boxed;
         ] );
       ( "adversarial",
         [
@@ -510,6 +611,7 @@ let () =
         [
           Alcotest.test_case "campaigns identical" `Quick
             test_campaign_identical_across_domains;
+          Alcotest.test_case "golden rows" `Quick test_golden_rows;
           Alcotest.test_case "adversarial identical" `Quick
             test_adversarial_identical_across_domains;
           Alcotest.test_case "worst-case identical" `Quick

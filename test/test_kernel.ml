@@ -1,17 +1,21 @@
 (* Differential suite: the packed {!Kernel} against the boxed {!Engine} on
    randomized protocols, inputs and schedules, for every evaluation tier
-   (direct table / sparse memo / raw scratch); plus {!Parrun} determinism
-   and the {!Engine.trace} double-buffering regression. *)
+   (direct table / sparse memo / evicting two-slot memo / raw scratch),
+   with the packed entry points checked against the boxed ones on one
+   reused kernel; plus {!Parrun} determinism and the {!Engine.trace}
+   double-buffering regression. *)
 
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
 module Kernel = Stateless_core.Kernel
+module Batch = Stateless_core.Batch
 module Parrun = Stateless_core.Parrun
 module Schedule = Stateless_core.Schedule
 module Label = Stateless_core.Label
 module Fault = Stateless_core.Fault
 module Clique_example = Stateless_core.Clique_example
 module Proptest = Stateless_core.Proptest
+module Builders = Stateless_graph.Builders
 
 (* ------------------------------------------------------------------ *)
 (* Random protocol generator (shared, see lib/core/proptest.ml)        *)
@@ -24,14 +28,20 @@ let random_config = Proptest.random_config
 let random_active = Proptest.random_active
 let schedules_for seed n = Proptest.schedules_for seed n
 
-(* All three kernel tiers for one protocol: the table/memo/raw choice must
-   be observably invisible. *)
-let kernels p ~input =
+(* All three kernel tiers for one protocol, plus a memo of two slots where
+   nearly every lookup evicts: the choice must be observably invisible. *)
+let tiers p ~input =
   [
-    ("table", Kernel.create p ~input);
-    ("memo", Kernel.create ~max_table_words:0 p ~input);
-    ("raw", Kernel.create ~max_table_words:0 ~max_memo_entries:0 p ~input);
+    ("table", fun () -> Kernel.create p ~input);
+    ("memo", fun () -> Kernel.create ~max_table_words:0 p ~input);
+    ( "evict",
+      fun () -> Kernel.create ~max_table_words:0 ~max_memo_entries:2 p ~input );
+    ( "raw",
+      fun () -> Kernel.create ~max_table_words:0 ~max_memo_entries:0 p ~input );
   ]
+
+let kernels p ~input =
+  List.map (fun (tier, mk) -> (tier, mk ())) (tiers p ~input)
 
 (* ------------------------------------------------------------------ *)
 (* Equality of results                                                 *)
@@ -160,6 +170,139 @@ let test_kernel_reuse () =
   Alcotest.(check bool) "settle is reproducible on a reused kernel" true
     (settled_eq p first again)
 
+(* One kernel driven through interleaved boxed and packed calls must give
+   what a fresh kernel gives for each call: no buffer, visit table, memo
+   slot or output history may carry state from one call into the next. *)
+let test_interleaved_calls () =
+  let verdict_eq a b =
+    match (a, b) with
+    | Kernel.Stabilized r1, Engine.Stabilized { rounds = r2; _ } -> r1 = r2
+    | ( Kernel.Oscillating { entered = e1; period = q1 },
+        Engine.Oscillating { entered = e2; period = q2 } ) ->
+        e1 = e2 && q1 = q2
+    | Kernel.Exhausted, Engine.Exhausted _ -> true
+    | _ -> false
+  in
+  for seed = 1 to 12 do
+    let p, input, st = random_protocol seed in
+    let n = Protocol.num_nodes p and m = Protocol.num_edges p in
+    List.iter
+      (fun (tier, fresh) ->
+        let shared = fresh () in
+        let fail op =
+          Alcotest.failf "%s mismatch (seed %d, tier %s)" op seed tier
+        in
+        List.iter
+          (fun schedule ->
+            for op = 0 to 11 do
+              let init = random_config p st in
+              let labels = Array.make m 0 and outputs = Array.make n 0 in
+              Kernel.load shared init ~labels ~outputs;
+              match op mod 6 with
+              | 0 ->
+                  if
+                    not
+                      (settled_eq p
+                         (Kernel.settle (fresh ()) ~init ~schedule ~max_steps:60)
+                         (Kernel.settle shared ~init ~schedule ~max_steps:60))
+                  then fail "settle"
+              | 1 ->
+                  if
+                    not
+                      (outcome_eq p
+                         (Kernel.run_until_stable (fresh ()) ~init ~schedule
+                            ~max_steps:60)
+                         (Kernel.run_until_stable shared ~init ~schedule
+                            ~max_steps:60))
+                  then fail "run_until_stable"
+              | 2 ->
+                  let got =
+                    Kernel.settle_codes shared ~labels ~outputs ~schedule
+                      ~max_steps:60
+                  in
+                  let expect =
+                    Option.map
+                      (fun s -> s.Engine.settle_time)
+                      (Kernel.settle (fresh ()) ~init ~schedule ~max_steps:60)
+                  in
+                  if got <> expect then fail "settle_codes"
+              | 3 ->
+                  if
+                    not
+                      (verdict_eq
+                         (Kernel.run_until_stable_codes shared ~labels ~outputs
+                            ~schedule ~max_steps:60)
+                         (Kernel.run_until_stable (fresh ()) ~init ~schedule
+                            ~max_steps:60))
+                  then fail "run_until_stable_codes"
+              | 4 ->
+                  let steps = 1 + Random.State.int st 20 in
+                  Kernel.run_into shared ~labels ~outputs ~schedule ~steps;
+                  if
+                    not
+                      (config_eq p
+                         (Kernel.run (fresh ()) ~init ~schedule ~steps)
+                         (Kernel.store shared ~labels ~outputs))
+                  then fail "run_into"
+              | _ ->
+                  let active = random_active n st in
+                  if
+                    not
+                      (config_eq p
+                         (Kernel.step (fresh ()) init ~active)
+                         (Kernel.step shared init ~active))
+                  then fail "step"
+            done)
+          (schedules_for seed n))
+      (tiers p ~input)
+  done
+
+(* Label codes wider than 32 bits: a 2-node ring whose labels toggle
+   between 0 and 2^32 oscillates with period 2. A key keeping only the low
+   32 bits of each code sees one labeling and reports [Stabilized 0]. *)
+let test_wide_codes () =
+  let p =
+    {
+      Protocol.name = "wide-toggle";
+      graph = Builders.ring_uni 2;
+      space = Label.int (1 lsl 33);
+      react =
+        (fun _ () inc ->
+          if inc.(0) = 0 then ([| 1 lsl 32 |], 1) else ([| 0 |], 0));
+    }
+  in
+  let input = [| (); () |] in
+  let init = Protocol.uniform_config p 0 in
+  let schedule = Schedule.synchronous 2 in
+  let max_steps = 50 in
+  let oscillating = function
+    | Engine.Oscillating { entered = 0; period = 2 } -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "config keys differ" false
+    (String.equal
+       (Protocol.config_key p init)
+       (Protocol.config_key p (Protocol.uniform_config p (1 lsl 32))));
+  Alcotest.(check bool) "engine oscillates" true
+    (oscillating (Engine.run_until_stable p ~input ~init ~schedule ~max_steps));
+  Alcotest.(check bool) "engine never settles" true
+    (Engine.settle p ~input ~init ~schedule ~max_steps = None);
+  List.iter
+    (fun (tier, k) ->
+      Alcotest.(check bool) (tier ^ ": kernel oscillates") true
+        (oscillating (Kernel.run_until_stable k ~init ~schedule ~max_steps));
+      Alcotest.(check bool) (tier ^ ": kernel never settles") true
+        (Kernel.settle k ~init ~schedule ~max_steps = None);
+      let bt = Batch.create k in
+      Alcotest.(check bool) (tier ^ ": batch oscillates") true
+        (Array.for_all oscillating
+           (Batch.run_until_stable bt ~inits:[| init; init |] ~schedule
+              ~max_steps));
+      Alcotest.(check bool) (tier ^ ": batch never settles") true
+        (Array.for_all Option.is_none
+           (Batch.settle bt ~inits:[| init; init |] ~schedule ~max_steps)))
+    (kernels p ~input)
+
 let test_load_store_roundtrip () =
   let p, input, st = random_protocol 3 in
   let k = Kernel.create p ~input in
@@ -287,6 +430,8 @@ let () =
             test_run_until_stable_differential;
           Alcotest.test_case "settle" `Quick test_settle_differential;
           Alcotest.test_case "kernel reuse" `Quick test_kernel_reuse;
+          Alcotest.test_case "interleaved calls" `Quick test_interleaved_calls;
+          Alcotest.test_case "wide label codes" `Quick test_wide_codes;
           Alcotest.test_case "load/store" `Quick test_load_store_roundtrip;
         ] );
       ( "trace",

@@ -15,9 +15,10 @@ module Builders = Stateless_graph.Builders
 
 let config_eq = Proptest.config_eq
 
-(* The three tier forcings, as (name, table words, memo entries). *)
+(* The three tier forcings and an evicting two-slot memo, as (name, table
+   words, memo entries). *)
 let tiers = [ ("table", None, None); ("memo", Some 0, None);
-              ("raw", Some 0, Some 0) ]
+              ("evict", Some 0, Some 2); ("raw", Some 0, Some 0) ]
 
 let trials = 30
 
