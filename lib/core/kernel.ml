@@ -6,22 +6,24 @@ let mode_memo = 1
 let mode_raw = 2
 
 let default_max_table_words = 1 lsl 22
-let default_max_memo_entries = 1 lsl 18
+let default_max_memo_entries = 4096
 let max_decode_table = 1 lsl 16
 
 (* Per-node sparse reaction memo: one direct-mapped int array, allocated on
    the node's first miss. Slot [j] holds an incoming code at
    [j * (width + 1)] (-1 = empty) with that code's row right after it, so a
-   hit is one hash, one compare and reads from the same cache lines. A
-   colliding code overwrites the slot: a row is a pure function of its
-   incoming code, so eviction costs a recomputation and nothing else.
-   Slots per node are capped by [memo_max_slots], by [memo_max_words]
-   words, by [max_memo_entries] and by the number of distinct codes; the
-   memo nodes of one kernel share [memo_budget_words], past which a node
-   gets a single slot. *)
-let memo_max_slots = 4096
+   hit is one index, one compare and reads from the same cache lines.
+   [memo_mask.(i)] picks the slot: when all of node [i]'s distinct codes
+   fit within [max_memo_entries] slots and [memo_max_words] words it is
+   [lnot rows] and the slot is the code itself, which never collides;
+   otherwise it is [slots - 1] for the largest power of two within both
+   caps and the slot is a hash of the code. A colliding code overwrites
+   the slot: a row is a pure function of its incoming code, so eviction
+   costs a recomputation and nothing else. The memos of one kernel share a
+   budget of [default_max_table_words] words; a node whose slots no longer
+   fit what is left gets the largest power of two of hashed slots that
+   does, at least one. *)
 let memo_max_words = 1 lsl 14
-let memo_budget_words = 1 lsl 22
 
 let memo_hash code =
   let h = code * 0x9E3779B1 in
@@ -72,7 +74,7 @@ type ('x, 'l) t = {
   tables : int array array;
   filled : Bytes.t array;
   (* mode_memo: the direct-mapped slots ([||] until the first miss) and
-     their count minus one — the cap until allocation, then the size. *)
+     how a code picks its slot (see [memo_max_words]). *)
   memo : int array array;
   memo_mask : int array;
   mutable memo_words_left : int;
@@ -175,12 +177,9 @@ let create ?(max_table_words = default_max_table_words)
         budget := !budget - (rows * width)
     | Some rows when max_memo_entries > 0 ->
         mode.(i) <- mode_memo;
-        let cap =
-          min
-            (min memo_max_slots (memo_max_words / (width + 1)))
-            (min max_memo_entries rows)
-        in
-        memo_mask.(i) <- pow2_floor (max 1 cap) - 1
+        let cap = min max_memo_entries (memo_max_words / (width + 1)) in
+        memo_mask.(i) <-
+          (if rows <= cap then lnot rows else pow2_floor (max 1 cap) - 1)
     | _ -> mode.(i) <- mode_raw
   done;
   let bytes_per_label = Label.code_bytes p.Protocol.space in
@@ -199,7 +198,7 @@ let create ?(max_table_words = default_max_table_words)
     filled;
     memo = Array.make n [||];
     memo_mask;
-    memo_words_left = memo_budget_words;
+    memo_words_left = default_max_table_words;
     scratch_row;
     in_scratch;
     dec_tbl;
@@ -292,13 +291,19 @@ let memo_table t i =
   if Array.length mm > 0 then mm
   else begin
     let w1 = t.out_off.(i + 1) - t.out_off.(i) + 2 in
+    let mask = t.memo_mask.(i) in
+    let want = if mask < 0 then lnot mask else mask + 1 in
     let slots =
-      pow2_floor (max 1 (min (t.memo_mask.(i) + 1) (t.memo_words_left / w1)))
+      if want * w1 <= t.memo_words_left then want
+      else begin
+        let s = pow2_floor (max 1 (t.memo_words_left / w1)) in
+        t.memo_mask.(i) <- s - 1;
+        s
+      end
     in
     t.memo_words_left <- max 0 (t.memo_words_left - (slots * w1));
     let mm = Array.make (slots * w1) (-1) in
     t.memo.(i) <- mm;
-    t.memo_mask.(i) <- slots - 1;
     mm
   end
 
@@ -309,7 +314,8 @@ let memo_lookup t i mm code =
   let w1 =
     Array.unsafe_get t.out_off (i + 1) - Array.unsafe_get t.out_off i + 2
   in
-  let slot = (memo_hash code land Array.unsafe_get t.memo_mask i) * w1 in
+  let mask = Array.unsafe_get t.memo_mask i in
+  let slot = (if mask < 0 then code else memo_hash code land mask) * w1 in
   if Array.unsafe_get mm slot <> code then begin
     Array.unsafe_set mm slot (-1);
     fill_row_coded t i code mm (slot + 1);

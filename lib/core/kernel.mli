@@ -35,13 +35,17 @@ type ('x, 'l) t
 
 (** [create p ~input] precomputes the evaluation strategy and tables.
     [max_table_words] (default [2^22]) bounds the total size of all direct
-    tables. [max_memo_entries] (default [2^18]) bounds the slots of each
-    node's memo, which also never exceeds 4096 slots, [2^14] words or the
-    number of distinct incoming codes, and is rounded down to a power of
-    two; the memos of one kernel share a [2^22]-word budget, past which a
-    node gets one slot. Setting either to [0] forces the next-cheaper
-    strategy, and a small [max_memo_entries] makes nearly every lookup
-    evict — the differential tests use both to exercise every tier. *)
+    tables. [max_memo_entries] (default [4096]) bounds the slots of each
+    node's memo, which also never exceeds [2^14] words. A node whose
+    distinct incoming codes all fit both bounds gets one slot per code,
+    indexed by the code, and never evicts; otherwise its slots are the
+    largest power of two within both bounds, indexed by a hash of the
+    code. The memos of one kernel share a [2^22]-word budget: a node that
+    first misses after the rest is spent gets the largest power of two of
+    slots that still fits, at least one. Setting either bound to [0]
+    forces the next-cheaper strategy, and a small [max_memo_entries] makes
+    nearly every lookup evict — the differential tests use both to
+    exercise every tier. *)
 val create :
   ?max_table_words:int ->
   ?max_memo_entries:int ->

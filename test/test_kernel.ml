@@ -303,6 +303,47 @@ let test_wide_codes () =
            (Batch.settle bt ~inits:[| init; init |] ~schedule ~max_steps)))
     (kernels p ~input)
 
+(* A memo node whose distinct incoming codes all fit its slots indexes
+   them directly, so no code ever evicts another: each in-view's reaction
+   runs once, however the in-views alternate. On a bidirectional 3-ring
+   over two labels every node has 4 in-views; the two-slot memo must
+   still recompute. *)
+let test_memo_computes_once () =
+  let calls = Hashtbl.create 16 in
+  let p =
+    {
+      Protocol.name = "count-reactions";
+      graph = Builders.ring_bi 3;
+      space = Label.int 2;
+      react =
+        (fun i () inc ->
+          let key = (i, Array.to_list inc) in
+          Hashtbl.replace calls key
+            (1 + Option.value ~default:0 (Hashtbl.find_opt calls key));
+          ([| 1 - inc.(0); inc.(1) |], inc.(0) + inc.(1)));
+    }
+  in
+  let input = [| (); (); () |] in
+  let m = Protocol.num_edges p in
+  let sweep k =
+    Hashtbl.reset calls;
+    (* Every labeling three times, all-0 and all-1 in alternation first. *)
+    let all = List.init (1 lsl m) Fun.id in
+    let codes = [ 0; (1 lsl m) - 1; 0; (1 lsl m) - 1 ] @ all @ all @ all in
+    List.iter
+      (fun c ->
+        let src = Array.init m (fun e -> (c lsr e) land 1) in
+        for i = 0 to 2 do
+          ignore (Kernel.eval_row k ~src ~i)
+        done)
+      codes;
+    Hashtbl.fold (fun _ n acc -> max n acc) calls 0
+  in
+  Alcotest.(check int) "memo: one call per in-view" 1
+    (sweep (Kernel.create ~max_table_words:0 p ~input));
+  Alcotest.(check bool) "two-slot memo: recomputes" true
+    (sweep (Kernel.create ~max_table_words:0 ~max_memo_entries:2 p ~input) > 1)
+
 let test_load_store_roundtrip () =
   let p, input, st = random_protocol 3 in
   let k = Kernel.create p ~input in
@@ -432,6 +473,8 @@ let () =
           Alcotest.test_case "kernel reuse" `Quick test_kernel_reuse;
           Alcotest.test_case "interleaved calls" `Quick test_interleaved_calls;
           Alcotest.test_case "wide label codes" `Quick test_wide_codes;
+          Alcotest.test_case "memo computes once" `Quick
+            test_memo_computes_once;
           Alcotest.test_case "load/store" `Quick test_load_store_roundtrip;
         ] );
       ( "trace",
