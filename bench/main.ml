@@ -168,14 +168,8 @@ let verdict_name = function
    bitrot, not the numbers. *)
 let smoke = Array.exists (String.equal "--smoke") Sys.argv
 
-(* [--batch] re-runs every lab campaign through the batched SoA kernel at
-   K = 16 (domains from PARRUN_DOMAINS when set) and records whether the
-   results matched the per-instance campaigns exactly; the engine bench
-   additionally measures aggregate lock-step throughput. *)
-let batch_flag = Array.exists (String.equal "--batch") Sys.argv
-let batch_k = 16
-
-let batch_domains () =
+(* The domain count requested through PARRUN_DOMAINS, 1 when unset. *)
+let env_domains () =
   match Parrun.env_domains () with Some d -> d | None -> 1
 
 (* Wall time per run: one discarded warm-up run, then the minimum over
@@ -446,25 +440,10 @@ let run_fault_bench () =
       (Faultlab.default_scenarios ())
   in
   List.iter (Faultlab.print_campaign stdout) campaigns;
-  let batch =
-    if not batch_flag then None
-    else begin
-      let domains = batch_domains () in
-      let batched =
-        List.map
-          (Faultlab.run ~seeds ~max_steps ~domains ~batch:batch_k)
-          (Faultlab.default_scenarios ())
-      in
-      let identical = batched = campaigns in
-      Printf.printf "  batched (k=%d, %d domains) identical: %b\n" batch_k
-        domains identical;
-      Some (batch_k, identical)
-    end
-  in
   Bench_json.to_file "BENCH_faults.json" (fun oc ->
       Faultlab.write_json
         ~host:(Bench_json.host ~domains:1 ())
-        ?batch ~cells:(cell_triple !counts) oc campaigns);
+        ~cells:(cell_triple !counts) oc campaigns);
   Printf.printf "  [wrote BENCH_faults.json]\n"
 
 (* ------------------------------------------------------------------ *)
@@ -492,22 +471,6 @@ let run_netlab_bench () =
       (Netlab.default_scenarios ())
   in
   List.iter (Netlab.print_campaign stdout) campaigns;
-  let batch =
-    if not batch_flag then None
-    else begin
-      let domains = batch_domains () in
-      let batched =
-        List.map
-          (Netlab.run ~seeds ~storm ~max_steps ~domains ~batch:batch_k
-             ~budget)
-          (Netlab.default_scenarios ())
-      in
-      let identical = batched = campaigns in
-      Printf.printf "  batched (k=%d, %d domains) identical: %b\n" batch_k
-        domains identical;
-      Some (batch_k, identical)
-    end
-  in
   (* Exhaustive bounded-adversary certification on the instances small
      enough to enumerate: the clique flips at k = 1, the copy ring keeps
      its outputs for any single-edge rewrite per window. *)
@@ -551,7 +514,7 @@ let run_netlab_bench () =
   Bench_json.to_file "BENCH_netlab.json" (fun oc ->
       Netlab.write_json
         ~host:(Bench_json.host ~domains:1 ())
-        ?batch ~cells:(cell_triple !counts) ~certification oc campaigns);
+        ~cells:(cell_triple !counts) ~certification oc campaigns);
   Printf.printf "  [wrote BENCH_netlab.json]\n"
 
 (* ------------------------------------------------------------------ *)
@@ -582,25 +545,6 @@ let run_byz_bench () =
       [ Byzlab.Seeded_random; Byzlab.Anti_majority ]
   in
   List.iter (Byzlab.print_campaign stdout) campaigns;
-  let batch =
-    if not batch_flag then None
-    else begin
-      let domains = batch_domains () in
-      let batched =
-        List.concat_map
-          (fun strategy ->
-            List.map
-              (Byzlab.run ~seeds ~attack ~max_steps ~domains ~batch:batch_k
-                 ~strategy)
-              (Byzlab.default_scenarios ()))
-          [ Byzlab.Seeded_random; Byzlab.Anti_majority ]
-      in
-      let identical = batched = campaigns in
-      Printf.printf "  batched (k=%d, %d domains) identical: %b\n" batch_k
-        domains identical;
-      Some (batch_k, identical)
-    end
-  in
   (* Exhaustive (r,B)-certification on the instances small enough to
      enumerate every Byzantine behavior: the clique diverges as soon as
      one node turns Byzantine (an adversarial schedule plus adversarial
@@ -662,7 +606,7 @@ let run_byz_bench () =
   Bench_json.to_file "BENCH_byz.json" (fun oc ->
       Byzlab.write_json
         ~host:(Bench_json.host ~domains:1 ())
-        ?batch ~cells:(cell_triple !counts) ~certification oc campaigns);
+        ~cells:(cell_triple !counts) ~certification oc campaigns);
   Printf.printf "  [wrote BENCH_byz.json]\n"
 
 (* ------------------------------------------------------------------ *)
@@ -765,79 +709,6 @@ let run_engine_bench () =
         r.er_name r.er_schedule r.er_boxed_sps r.er_packed_sps
         (r.er_packed_sps /. r.er_boxed_sps))
     rows;
-  (* Aggregate lock-step throughput: K independent instances of one
-     campaign fixture, damaged by Fault.corrupt, stepped through the
-     batched planes against one shared kernel. Throughput counts
-     instance-steps (K * sweeps / wall); the total instance-step budget is
-     fixed, so every K does the same amount of work and the K = 1 row is
-     the per-instance baseline the larger rows amortize against. Two
-     fixtures bracket the schedule spectrum: the synchronous clique pays
-     mostly per-instance data work (modest amortization), while the
-     round-robin oscillator pays mostly per-step fixed costs — schedule
-     dispatch, carry-over, tier setup — which the batch spreads over K.
-     Numbers are from this host: a single shared core, so the win is
-     locality and dispatch amortization, not parallelism. *)
-  let batch_bench (Fixture f) =
-    let p = f.ef_p in
-    let schedule = f.ef_schedule in
-    let kern = Kernel.create p ~input:f.ef_input in
-    let bt = Batch.create kern in
-    let inits_for k =
-      Array.init k (fun t -> Fault.corrupt p ~seed:t ~fraction:0.5 f.ef_init)
-    in
-    let total = if smoke then 1 lsl 14 else 1 lsl 20 in
-    let ks = if smoke then [ 1; 16 ] else [ 1; 16; 256; 4096 ] in
-    let rows =
-      List.map
-        (fun k ->
-          let sweeps = max 1 (total / k) in
-          let inits = inits_for k in
-          let run_batched () =
-            Batch.load_block bt inits;
-            for s = 0 to sweeps - 1 do
-              Batch.step bt ~active:(schedule.Schedule.active s)
-            done
-          in
-          let wall, _ = time_runs run_batched in
-          (k, sweeps, float (k * sweeps) /. wall))
-        ks
-    in
-    (* The timed loop, checked: the K = 16 planes after [sweeps] lock-step
-       sweeps must equal per-instance Kernel.run of the same length. *)
-    let identical =
-      let k = 16 and sweeps = 64 in
-      let inits = inits_for k in
-      Batch.load_block bt inits;
-      for s = 0 to sweeps - 1 do
-        Batch.step bt ~active:(schedule.Schedule.active s)
-      done;
-      Array.for_all Fun.id
-        (Array.init k (fun j ->
-             Kernel.run kern ~init:inits.(j) ~schedule ~steps:sweeps
-             = Batch.store bt ~j))
-    in
-    (f.ef_name, schedule.Schedule.name, rows, identical)
-  in
-  let batch_scenarios =
-    List.map batch_bench
-      (List.filter
-         (fun (Fixture f) ->
-           List.mem f.ef_name [ "example1_k4"; "ring_oscillator_5" ])
-         (engine_fixtures ()))
-  in
-  List.iter
-    (fun (name, _, rows, identical) ->
-      let sps1 = match rows with (_, _, s) :: _ -> s | [] -> 1. in
-      List.iter
-        (fun (k, sweeps, sps) ->
-          Printf.printf
-            "  batch %-18s k=%-5d %8d sweeps %12.0f inst-steps/s (%5.2fx \
-             vs k=1)\n"
-            name k sweeps sps (sps /. sps1))
-        rows;
-      Printf.printf "  batch %-18s identical to per-instance kernel: %b\n"
-        name identical)
-    batch_scenarios;
   (* Campaign wall time, 1 domain vs N domains, same work — and the
      determinism contract checked on the real workload: the aggregated
      campaigns must be structurally identical. PARRUN_DOMAINS overrides
@@ -906,26 +777,6 @@ let run_engine_bench () =
             (r.er_packed_sps /. r.er_boxed_sps)
             (if i = List.length rows - 1 then "" else ","))
         rows;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc "  \"batch\": [\n";
-      List.iteri
-        (fun si (name, sched, rows, identical) ->
-          let sps1 = match rows with (_, _, s) :: _ -> s | [] -> 1. in
-          Printf.fprintf oc
-            "    { \"scenario\": %S, \"schedule\": %S, \"identical\": %b, \
-             \"rows\": [\n"
-            name sched identical;
-          List.iteri
-            (fun i (k, sweeps, sps) ->
-              Printf.fprintf oc
-                "      { \"k\": %d, \"sweeps\": %d, \"agg_steps_per_sec\": \
-                 %.0f, \"speedup_vs_k1\": %.2f }%s\n"
-                k sweeps sps (sps /. sps1)
-                (if i = List.length rows - 1 then "" else ","))
-            rows;
-          Printf.fprintf oc "    ] }%s\n"
-            (if si = List.length batch_scenarios - 1 then "" else ","))
-        batch_scenarios;
       Printf.fprintf oc "  ],\n";
       Printf.fprintf oc
         "  \"campaign\": { \"seeds\": %d, \"max_steps\": %d, \"domains\": \
@@ -1007,7 +858,7 @@ let run_sim_bench () =
     Simlab.campaign ~domains:1 det_inst ~seed0:1 ~runs:det_runs
       ~horizon:det_horizon
   in
-  let domains_n = max 2 (batch_domains ()) in
+  let domains_n = max 2 (env_domains ()) in
   let sharded =
     Simlab.campaign ~domains:domains_n det_inst ~seed0:1 ~runs:det_runs
       ~horizon:det_horizon

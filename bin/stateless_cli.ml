@@ -505,14 +505,6 @@ let domains_arg =
   in
   Arg.(value & opt pos_int_conv 1 & info [ "domains" ] ~doc ~docv:"D")
 
-let batch_arg =
-  let doc =
-    "Step campaign runs in lock-step blocks of $(docv) instances through \
-     the batched SoA kernel. Results are bit-identical for every value; \
-     only wall time changes."
-  in
-  Arg.(value & opt pos_int_conv 1 & info [ "batch" ] ~doc ~docv:"B")
-
 let out_arg =
   let doc = "Also write the campaign as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
@@ -651,7 +643,7 @@ let faults_cmd =
   let max_steps_arg =
     max_steps_arg ~doc:"Give up on a run after $(docv) recovery steps."
   in
-  let run scenario fractions runs max_steps domains seed0 batch policy out =
+  let run scenario fractions runs max_steps domains seed0 policy out =
     let scenarios =
       match scenario with
       | `All -> Faultlab.default_scenarios ()
@@ -666,7 +658,7 @@ let faults_cmd =
         (fun sc ->
           let c, k =
             Faultlab.run_matrix ~fractions ~seeds:runs ~max_steps ~domains
-              ~seed0 ~batch ~policy:(leg_policy policy first) sc
+              ~seed0 ~policy:(leg_policy policy first) sc
           in
           counts := add_counts !counts k;
           c)
@@ -693,7 +685,7 @@ let faults_cmd =
   Cmd.v info
     Term.(
       const run $ scenario_arg $ fractions_arg $ runs_arg $ max_steps_arg
-      $ domains_arg $ seed_arg $ batch_arg $ policy_term $ out_arg)
+      $ domains_arg $ seed_arg $ policy_term $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* netlab                                                              *)
@@ -748,7 +740,7 @@ let netlab_cmd =
     max_steps_arg ~doc:"Give up on post-storm recovery after $(docv) steps."
   in
   let run scenario loss delay dup crash max_delay crash_len k window runs storm
-      max_steps domains seed0 batch policy out =
+      max_steps domains seed0 policy out =
     let budget = { Netlab.k; window } in
     (* Any explicit rate flag selects a single custom level; otherwise run
        the default rising loss/delay sweep. *)
@@ -775,7 +767,7 @@ let netlab_cmd =
         (fun sc ->
           let c, cnt =
             Netlab.run_matrix ~levels ~seeds:runs ~storm ~max_steps ~domains
-              ~seed0 ~batch ~policy:(leg_policy policy first) ~budget sc
+              ~seed0 ~policy:(leg_policy policy first) ~budget sc
           in
           counts := add_counts !counts cnt;
           c)
@@ -803,8 +795,8 @@ let netlab_cmd =
     Term.(
       const run $ scenario_arg $ loss_arg $ delay_arg $ dup_arg $ crash_arg
       $ max_delay_arg $ crash_len_arg $ budget_arg $ window_arg $ runs_arg
-      $ storm_arg $ max_steps_arg $ domains_arg $ seed_arg $ batch_arg
-      $ policy_term $ out_arg)
+      $ storm_arg $ max_steps_arg $ domains_arg $ seed_arg $ policy_term
+      $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* byz                                                                 *)
@@ -936,8 +928,8 @@ let byz_cmd =
               (if f.Byzcheck.stabilizes then "stabilizes" else "diverges"))
           c.Byzcheck.fates
   in
-  let campaign scenario byz strategy runs attack max_steps domains seed0 batch
-      policy out =
+  let campaign scenario byz strategy runs attack max_steps domains seed0 policy
+      out =
     let scenarios =
       match scenario with
       | `All -> Byzlab.default_scenarios ()
@@ -969,7 +961,7 @@ let byz_cmd =
         (fun sc ->
           let c, cnt =
             Byzlab.run_matrix ?placements ~seeds:runs ~attack ~max_steps
-              ~domains ~seed0 ~batch ~policy:(leg_policy policy first)
+              ~domains ~seed0 ~policy:(leg_policy policy first)
               ~strategy sc
           in
           counts := add_counts !counts cnt;
@@ -988,8 +980,8 @@ let byz_cmd =
         Printf.printf "  [wrote %s]\n" path);
     degraded_exit !counts
   in
-  let run scenario n byz strategy runs attack max_steps domains seed0 batch
-      certify_p r budget policy out =
+  let run scenario n byz strategy runs attack max_steps domains seed0 certify_p
+      r budget policy out =
     if certify_p then (
       (match scenario with
       | `All | `Example1 -> ()
@@ -999,8 +991,8 @@ let byz_cmd =
           exit 124);
       certify n byz r budget)
     else
-      campaign scenario byz strategy runs attack max_steps domains seed0 batch
-        policy out
+      campaign scenario byz strategy runs attack max_steps domains seed0 policy
+        out
   in
   let info =
     Cmd.info "byz"
@@ -1013,7 +1005,7 @@ let byz_cmd =
     Term.(
       const run $ scenario_arg $ nodes_arg $ byz_nodes_arg $ strategy_arg
       $ runs_arg $ attack_arg $ max_steps_arg $ domains_arg $ seed_arg
-      $ batch_arg $ certify_arg $ r_arg $ budget_arg $ policy_term $ out_arg)
+      $ certify_arg $ r_arg $ budget_arg $ policy_term $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sim                                                                 *)
@@ -1252,7 +1244,7 @@ let campaign_cmd =
     Arg.(
       value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"PREFIX")
   in
-  let run legs runs domains seed0 batch policy out =
+  let run legs runs domains seed0 policy out =
     let first = ref true in
     let total = ref zero_counts in
     let write path emit =
@@ -1281,8 +1273,7 @@ let campaign_cmd =
         | `Faults ->
             matrix_leg
               (fun policy sc ->
-                Faultlab.run_matrix ~seeds:runs ~domains ~seed0 ~batch ~policy
-                  sc)
+                Faultlab.run_matrix ~seeds:runs ~domains ~seed0 ~policy sc)
               (Faultlab.print_campaign stdout)
               (fun prefix counts campaigns ->
                 write (prefix ^ "_faults.json") (fun oc ->
@@ -1293,8 +1284,8 @@ let campaign_cmd =
             let budget = { Netlab.k = 4; window = 8 } in
             matrix_leg
               (fun policy sc ->
-                Netlab.run_matrix ~seeds:runs ~domains ~seed0 ~batch ~policy
-                  ~budget sc)
+                Netlab.run_matrix ~seeds:runs ~domains ~seed0 ~policy ~budget
+                  sc)
               (Netlab.print_campaign stdout)
               (fun prefix counts campaigns ->
                 write (prefix ^ "_netlab.json") (fun oc ->
@@ -1304,7 +1295,7 @@ let campaign_cmd =
         | `Byz ->
             matrix_leg
               (fun policy sc ->
-                Byzlab.run_matrix ~seeds:runs ~domains ~seed0 ~batch ~policy
+                Byzlab.run_matrix ~seeds:runs ~domains ~seed0 ~policy
                   ~strategy:Byzlab.Seeded_random sc)
               (Byzlab.print_campaign stdout)
               (fun prefix counts campaigns ->
@@ -1359,8 +1350,8 @@ let campaign_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ matrix_arg $ runs_arg $ domains_arg $ seed_arg $ batch_arg
-      $ policy_term $ out_arg)
+      const run $ matrix_arg $ runs_arg $ domains_arg $ seed_arg $ policy_term
+      $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                               *)
@@ -1521,8 +1512,7 @@ let fuzz_cmd =
     Cmd.info "fuzz"
       ~doc:
         "Differentially fuzz the boxed engine against the packed kernel, \
-         the batched SoA kernel, the synchronous event simulator, the \
-         channel and Byzantine twins and the checker oracle on random \
+         the synchronous event simulator, the channel and Byzantine twins and the checker oracle on random \
          protocols × schedules × fault configs, shrinking any divergence \
          to a minimal replayable witness (exit 1 on divergence; with \
          $(b,--mutant), exit 1 if the planted bug is $(i,not) found)"

@@ -34,7 +34,6 @@
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
 module Kernel = Stateless_core.Kernel
-module Batch = Stateless_core.Batch
 module Schedule = Stateless_core.Schedule
 module Label = Stateless_core.Label
 module Clique_example = Stateless_core.Clique_example
@@ -268,27 +267,12 @@ type measure_fn =
   max_steps:int ->
   run_result
 
-(* The attack phase stays per-instance: each run's Byzantine RNG draw
-   order ([Seeded_random]) and minority computation ([Anti_majority])
-   are coupled to that run's own trajectory, so attacks cannot share a
-   lock-step sweep. Only the fault-free post-attack recovery — the
-   settle or re-lock loop, which dominates the step count — batches
-   through {!Batch}. *)
-type batch_measure_fn =
-  byzs:int list array ->
-  strategy:strategy ->
-  attack:int ->
-  seeds:int array ->
-  max_steps:int ->
-  run_result array
-
 type scenario = {
   name : string;
   schedule_name : string;
   nodes : int;
   placements : int list list;
   fresh : unit -> measure_fn;
-  fresh_batch : unit -> batch_measure_fn;
 }
 
 (* Hop distance from the Byzantine set (min over members); -1 for
@@ -359,13 +343,12 @@ let settle_time settled = Option.map (fun s -> s.Engine.settle_time) settled
    configuration every attack starts from. *)
 let settle_scenario ~name p ~input ~schedule ~placements ~healthy =
   let graph = p.Protocol.graph in
-  let context () =
+  let fresh () =
     let kern = Kernel.create p ~input in
     let reference, init = healthy kern in
-    (kern, attack_phase kern p ~schedule ~init ~probe:(output_probe reference))
-  in
-  let fresh () =
-    let kern, attack_run = context () in
+    let attack_run =
+      attack_phase kern p ~schedule ~init ~probe:(output_probe reference)
+    in
     fun ~byz ~strategy ~attack ~seed ~max_steps ->
       let deviated, deviant_steps, post =
         attack_run ~byz ~strategy ~attack ~seed
@@ -374,33 +357,12 @@ let settle_scenario ~name p ~input ~schedule ~placements ~healthy =
         ~recovery:
           (settle_time (Kernel.settle kern ~init:post ~schedule ~max_steps))
   in
-  let fresh_batch () =
-    let kern, attack_run = context () in
-    let bt = Batch.create kern in
-    fun ~byzs ~strategy ~attack ~seeds ~max_steps ->
-      let runs =
-        Array.mapi
-          (fun t seed -> attack_run ~byz:byzs.(t) ~strategy ~attack ~seed)
-          seeds
-      in
-      let settled =
-        Batch.settle bt
-          ~inits:(Array.map (fun (_, _, post) -> post) runs)
-          ~schedule ~max_steps
-      in
-      Array.mapi
-        (fun t (deviated, deviant_steps, _) ->
-          result_of ~graph ~byz:byzs.(t) ~deviated ~deviant_steps
-            ~recovery:(settle_time settled.(t)))
-        runs
-  in
   {
     name;
     schedule_name = schedule.Schedule.name;
     nodes = Protocol.num_nodes p;
     placements;
     fresh;
-    fresh_batch;
   }
 
 (* Example 1 on K_n: the reference is the healthy run's settled outputs;
@@ -464,9 +426,10 @@ let d_counter ?(n = 5) ?(d = 8) () =
   in
   let everyone = List.init n Fun.id in
   let graph = p.Protocol.graph in
-  (* Per-domain context: a kernel, its counter reader and the attack
-     probing counter deviation on the packed labels. *)
-  let context () =
+  (* Per-domain context: a kernel, its counter reader, the attack probing
+     counter deviation on the packed labels and the re-lock loop's
+     buffers. *)
+  let fresh () =
     let kern = Kernel.create p ~input in
     let counter_at labels j =
       let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
@@ -503,10 +466,7 @@ let d_counter ?(n = 5) ?(d = 8) () =
       done;
       !bad
     in
-    (kern, counter_at, attack_phase kern p ~schedule ~init:steady ~probe)
-  in
-  let fresh () =
-    let kern, counter_at, attack_run = context () in
+    let attack_run = attack_phase kern p ~schedule ~init:steady ~probe in
     let agreed labels =
       let c0 = counter_at labels 0 in
       let rec go j = j >= n || (counter_at labels j = c0 && go (j + 1)) in
@@ -542,61 +502,12 @@ let d_counter ?(n = 5) ?(d = 8) () =
       done;
       result_of ~graph ~byz ~deviated ~deviant_steps ~recovery:!found
   in
-  let fresh_batch () =
-    let kern, _, attack_run = context () in
-    let bt = Batch.create kern in
-    let counter_at_plane ~j i =
-      let _, (_, _, c) =
-        Kernel.decode_label kern (Batch.label_code bt ~j first_out.(i))
-      in
-      c
-    in
-    let agreed_plane ~j =
-      let c0 = counter_at_plane ~j 0 in
-      let rec go i = i >= n || (counter_at_plane ~j i = c0 && go (i + 1)) in
-      go 1
-    in
-    fun ~byzs ~strategy ~attack ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      let runs =
-        Array.mapi
-          (fun t seed -> attack_run ~byz:byzs.(t) ~strategy ~attack ~seed)
-          seeds
-      in
-      (* Batched re-lock. The per-instance loop takes one more step after
-         recording [found], so retiring at [found] cannot change it. *)
-      Batch.load_block bt (Array.map (fun (_, _, post) -> post) runs);
-      let run_len = Array.make b 0 in
-      let found = Array.make b None in
-      let s = ref 0 in
-      while Batch.live_count bt > 0 && !s <= max_steps do
-        for t = 0 to b - 1 do
-          if Batch.is_live bt ~j:t then
-            if agreed_plane ~j:t then begin
-              run_len.(t) <- run_len.(t) + 1;
-              if run_len.(t) >= d then begin
-                found.(t) <- Some (!s - d + 1);
-                Batch.retire bt ~j:t
-              end
-            end
-            else run_len.(t) <- 0
-        done;
-        Batch.step bt ~active:everyone;
-        incr s
-      done;
-      Array.mapi
-        (fun t (deviated, deviant_steps, _) ->
-          result_of ~graph ~byz:byzs.(t) ~deviated ~deviant_steps
-            ~recovery:found.(t))
-        runs
-  in
   {
     name = Printf.sprintf "d_counter_n%d_d%d" n d;
     schedule_name = schedule.Schedule.name;
     nodes = n;
     placements = [ []; [ 0 ]; [ 0; 2 ] ];
     fresh;
-    fresh_batch;
   }
 
 let default_scenarios () = [ example1 (); relay_ring (); d_counter () ]
@@ -695,7 +606,7 @@ let strategy_config = function
   | Replay w -> Printf.sprintf "replay#%08x" (Hashtbl.hash w)
 
 let cells ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)
-    ?(seed0 = 1) ?(batch = 1) ~strategy sc =
+    ?(seed0 = 1) ?batch:_ ~strategy sc =
   let pls = match placements with Some p -> p | None -> sc.placements in
   Array.of_list
     (List.mapi
@@ -710,16 +621,10 @@ let cells ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)
                (strategy_config strategy) attack seeds seed0 max_steps;
            run =
              (fun ~deadline ~attempt ->
-               Campaign.seed_block ~seeds ~seed0 ~batch ~deadline ~attempt
+               Campaign.seed_block ~seeds ~seed0 ~deadline ~attempt
                  ~fresh:(fun () ->
                    let measure = sc.fresh () in
-                   fun seed -> measure ~byz ~strategy ~attack ~seed ~max_steps)
-                 ~fresh_batch:(fun () ->
-                   let bf = sc.fresh_batch () in
-                   fun seeds ->
-                     bf
-                       ~byzs:(Array.make (Array.length seeds) byz)
-                       ~strategy ~attack ~seeds ~max_steps));
+                   fun seed -> measure ~byz ~strategy ~attack ~seed ~max_steps));
          })
        pls)
 
@@ -760,11 +665,9 @@ let stats_of_row ~nodes ~seeds ~attack byz row =
   }
 
 let run_matrix ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)
-    ?(domains = 1) ?(seed0 = 1) ?(batch = 1) ?policy ~strategy sc =
+    ?(domains = 1) ?(seed0 = 1) ?policy ~strategy sc =
   let pls = match placements with Some p -> p | None -> sc.placements in
-  let cs =
-    cells ~placements:pls ~seeds ~attack ~max_steps ~seed0 ~batch ~strategy sc
-  in
+  let cs = cells ~placements:pls ~seeds ~attack ~max_steps ~seed0 ~strategy sc in
   let outcome = Campaign.run ~domains ?policy ~codec cs in
   let levels =
     List.mapi
@@ -783,11 +686,10 @@ let run_matrix ?placements ?(seeds = 20) ?(attack = 400) ?(max_steps = 10_000)
     },
     outcome.Campaign.counts )
 
-let run ?placements ?seeds ?attack ?max_steps ?domains ?seed0 ?batch ~strategy
-    sc =
+let run ?placements ?seeds ?attack ?max_steps ?domains ?seed0 ~strategy sc =
   fst
-    (run_matrix ?placements ?seeds ?attack ?max_steps ?domains ?seed0 ?batch
-       ~strategy sc)
+    (run_matrix ?placements ?seeds ?attack ?max_steps ?domains ?seed0 ~strategy
+       sc)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -809,8 +711,8 @@ let print_campaign oc c =
         s.worst_radius s.recovered s.runs s.mean_recovery s.p50 s.p95 s.worst)
     c.levels
 
-let write_json ?host ?batch ?cells ?certification oc campaigns =
-  Bench_json.write ~benchmark:"byzlab" ?host ?batch ?cells ?certification oc
+let write_json ?host ?cells ?certification oc campaigns =
+  Bench_json.write ~benchmark:"byzlab" ?host ?cells ?certification oc
     (fun oc ->
       Printf.fprintf oc "  \"campaigns\": [\n";
       List.iteri

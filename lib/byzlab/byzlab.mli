@@ -104,20 +104,6 @@ type measure_fn =
   max_steps:int ->
   run_result
 
-type batch_measure_fn =
-  byzs:int list array ->
-  strategy:strategy ->
-  attack:int ->
-  seeds:int array ->
-  max_steps:int ->
-  run_result array
-(** Measures a contiguous block of the placement × seed grid: element
-    [t] is exactly what {!measure_fn} returns for
-    [(byzs.(t), seeds.(t))]. Attacks stay per-instance (each run's
-    strategy decisions are coupled to its own trajectory); the
-    fault-free post-attack recovery phase runs in lock-step through
-    {!Stateless_core.Batch}. *)
-
 type scenario = {
   name : string;
   schedule_name : string;
@@ -126,9 +112,6 @@ type scenario = {
   fresh : unit -> measure_fn;
       (** build per-domain measurement state (kernels are not
           domain-safe) *)
-  fresh_batch : unit -> batch_measure_fn;
-      (** the batched twin over a shared kernel, bit-identical per index
-          to [fresh]'s closure; also once per domain *)
 }
 
 (** Example 1 on K_n (default [n = 4]): reference = the healthy run's
@@ -183,10 +166,11 @@ val codec : run_result array Stateless_campaign.Campaign.codec
     cells — one per Byzantine placement, key ["byz/<scenario>/p<i>"],
     covering the placement's whole seed block, run by
     {!Stateless_campaign.Campaign.seed_block} (deadline polls between
-    seeds or lock-step blocks, reseeded retries). [Replay] strategies
-    enter the config as a structural hash of the witness — journal
-    replay across processes is only meaningful for the nameable
-    strategies. *)
+    seeds, reseeded retries). [Replay] strategies enter the config as a
+    structural hash of the witness — journal replay across processes is
+    only meaningful for the nameable strategies. [batch] is accepted and
+    ignored (there is one stepping path); it remains only for existing
+    callers. *)
 val cells :
   ?placements:int list list ->
   ?seeds:int ->
@@ -210,7 +194,6 @@ val run_matrix :
   ?max_steps:int ->
   ?domains:int ->
   ?seed0:int ->
-  ?batch:int ->
   ?policy:Stateless_campaign.Campaign.policy ->
   strategy:strategy ->
   scenario ->
@@ -219,10 +202,7 @@ val run_matrix :
 (** [run ~strategy sc] sweeps [placements] (default [sc.placements]) ×
     [seeds] runs each (seeds [seed0 .. seed0 + seeds - 1], default
     [seed0 = 1]) through the campaign orchestrator — results are
-    bit-identical for every [domains]. [batch] (default 1) measures
-    blocks of that many seeds through the scenario's batched
-    context; campaigns are identical for every [batch] value.
-    Equivalent to [fst (run_matrix ...)] under the default policy. *)
+    bit-identical for every [domains]. Equivalent to [fst (run_matrix ...)] under the default policy. *)
 val run :
   ?placements:int list list ->
   ?seeds:int ->
@@ -230,23 +210,18 @@ val run :
   ?max_steps:int ->
   ?domains:int ->
   ?seed0:int ->
-  ?batch:int ->
   strategy:strategy ->
   scenario ->
   campaign
 
 val print_campaign : out_channel -> campaign -> unit
 
-(** [write_json ?host ?batch ?cells ?certification oc campaigns] renders
-    BENCH_byz JSON: a host block, an optional batch block (the lock-step
-    batch size campaigns were re-run at and whether they matched the
-    per-instance campaigns exactly — CI greps for
-    ["\"identical\": false"]), the orchestrator's [(ok, timeout, error)]
+(** [write_json ?host ?cells ?certification oc campaigns] renders
+    BENCH_byz JSON: a host block, the orchestrator's [(ok, timeout, error)]
     cell accounting, certification rows (prebuilt JSON objects) and
     per-placement campaign rows. *)
 val write_json :
   ?host:string ->
-  ?batch:int * bool ->
   ?cells:int * int * int ->
   ?certification:string list ->
   out_channel ->

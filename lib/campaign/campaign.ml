@@ -42,27 +42,12 @@ let reseed_stride = 1_000_003
 
 (* A retry shifts the whole seed block, so it re-measures with fresh
    randomness. *)
-let seed_block ~seeds ~seed0 ~batch ~deadline ~attempt ~fresh ~fresh_batch =
+let seed_block ~seeds ~seed0 ~deadline ~attempt ~fresh =
   let seed0 = seed0 + (attempt * reseed_stride) in
-  if batch <= 1 then begin
-    let measure = fresh () in
-    Array.init seeds (fun j ->
-        if deadline () then raise Deadline_exceeded;
-        measure (seed0 + j))
-  end
-  else begin
-    let measure = fresh_batch () in
-    let rec go lo acc =
-      if lo >= seeds then Array.concat (List.rev acc)
-      else begin
-        if deadline () then raise Deadline_exceeded;
-        let len = min batch (seeds - lo) in
-        let block = measure (Array.init len (fun t -> seed0 + lo + t)) in
-        go (lo + len) (block :: acc)
-      end
-    in
-    go 0 []
-  end
+  let measure = fresh () in
+  Array.init seeds (fun j ->
+      if deadline () then raise Deadline_exceeded;
+      measure (seed0 + j))
 
 type summary = {
   recovered : int;

@@ -124,24 +124,18 @@ val now : unit -> float
     with fresh randomness while attempt numbers stay deterministic. *)
 val reseed_stride : int
 
-(** [seed_block ~seeds ~seed0 ~batch ~deadline ~attempt ~fresh
-    ~fresh_batch] is the body of a lab cell covering one seed block. It
-    measures seeds [s .. s + seeds - 1], where
-    [s = seed0 + attempt * reseed_stride]. With [batch <= 1] it calls
-    [fresh ()] once and the result once per seed. Otherwise it calls
-    [fresh_batch ()] once and the result once per contiguous block of
-    at most [batch] seeds. [deadline] is polled before every seed or
-    block; {!Deadline_exceeded} is raised when it reads [true]. The two
-    paths must agree per seed, so the result does not depend on
-    [batch]. *)
+(** [seed_block ~seeds ~seed0 ~deadline ~attempt ~fresh] is the body of
+    a lab cell covering one seed block. It measures seeds
+    [s .. s + seeds - 1], where [s = seed0 + attempt * reseed_stride], by
+    calling [fresh ()] once and the result once per seed. [deadline] is
+    polled before every seed; {!Deadline_exceeded} is raised when it reads
+    [true]. *)
 val seed_block :
   seeds:int ->
   seed0:int ->
-  batch:int ->
   deadline:(unit -> bool) ->
   attempt:int ->
   fresh:(unit -> int -> 'r) ->
-  fresh_batch:(unit -> int array -> 'r array) ->
   'r array
 
 (** Recovery-time summary of one row of runs. *)

@@ -5,7 +5,6 @@ module Protocol = Stateless_core.Protocol
 module Schedule = Stateless_core.Schedule
 module Engine = Stateless_core.Engine
 module Kernel = Stateless_core.Kernel
-module Batch = Stateless_core.Batch
 module Eventsim = Stateless_core.Eventsim
 module Proptest = Stateless_core.Proptest
 module Digraph = Stateless_graph.Digraph
@@ -118,18 +117,6 @@ let traj_kernel p ~input ~init ~schedule ~steps =
   done;
   out
 
-let traj_batch p ~input ~init ~schedule ~steps =
-  let kern = Kernel.create p ~input in
-  let b = Batch.create kern in
-  Batch.load_block b [| init |];
-  let out = Array.make (steps + 1) "" in
-  out.(0) <- digest p init;
-  for t = 0 to steps - 1 do
-    Batch.step b ~active:(schedule.Schedule.active t);
-    out.(t + 1) <- digest p (Batch.store b ~j:0)
-  done;
-  out
-
 let traj_eventsim p ~input ~init ~steps =
   (* Synchronous anchor mode: horizon [t] is exactly [t] lock-step
      rounds, and the resumable clock lets us sample every step. *)
@@ -214,7 +201,6 @@ let check_counted ?mutant (s : scenario) : int * divergence option =
     end
   in
   core_pair "kernel" (fun () -> traj_kernel p ~input ~init ~schedule ~steps);
-  core_pair "batch" (fun () -> traj_batch p ~input ~init ~schedule ~steps);
   if s.sched = Sync then
     core_pair "eventsim" (fun () -> traj_eventsim p ~input ~init ~steps);
   (match mutant with

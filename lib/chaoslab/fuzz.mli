@@ -7,9 +7,8 @@
     every applicable differential pair:
 
     - boxed {!Stateless_core.Engine} (the reference) against the packed
-      {!Stateless_core.Kernel}, the batched SoA {!Stateless_core.Batch},
-      and — on synchronous schedules — {!Stateless_core.Eventsim} in its
-      synchronous anchor mode;
+      {!Stateless_core.Kernel} and — on synchronous schedules —
+      {!Stateless_core.Eventsim} in its synchronous anchor mode;
     - one channel adversary run over both reaction engines
       ([Netlab.Reference] against [Netlab.Packed]) under the scenario's
       loss/duplication rates and adversary budget;

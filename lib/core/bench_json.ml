@@ -42,16 +42,11 @@ let peak_rss_kb () =
    schema_version itself and the optional cells accounting block. *)
 let schema_version = 2
 
-let write ~benchmark ?host ?batch ?cells ?(certification = []) oc body =
+let write ~benchmark ?host ?cells ?(certification = []) oc body =
   Printf.fprintf oc "{\n  \"benchmark\": %S,\n" benchmark;
   Printf.fprintf oc "  \"schema_version\": %d,\n" schema_version;
   (match host with
   | Some h -> Printf.fprintf oc "  \"host\": %s,\n" h
-  | None -> ());
-  (match batch with
-  | Some (k, identical) ->
-      Printf.fprintf oc "  \"batch\": { \"k\": %d, \"identical\": %b },\n" k
-        identical
   | None -> ());
   (match cells with
   | Some (ok, timeout, error) ->

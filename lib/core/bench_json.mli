@@ -1,7 +1,7 @@
 (** Shared envelope for the [BENCH_*.json] emitters.
 
     Every benchmark leg writes the same outer shape —
-    [{ "benchmark": ..., "host": ..., "batch": ..., "certification": ...,
+    [{ "benchmark": ..., "host": ..., "cells": ..., "certification": ...,
     <leg-specific fields> }] — so the envelope lives here once and each
     leg only provides a body printer for its own fields. CI's artifact
     glob and its ["\"identical\": false"] grep rely on this shape staying
@@ -27,10 +27,9 @@ val peak_rss_kb : unit -> int
     Bumped on incompatible envelope changes. *)
 val schema_version : int
 
-(** [write ~benchmark ?host ?batch ?cells ?certification oc body] prints
-    the envelope — opening brace, benchmark name, schema version,
-    optional host block, optional [(k, identical)] lock-step batch
-    summary, optional [(ok, timeout, error)] campaign-cell accounting,
+(** [write ~benchmark ?host ?cells ?certification oc body] prints the
+    envelope — opening brace, benchmark name, schema version, optional
+    host block, optional [(ok, timeout, error)] campaign-cell accounting,
     optional pre-rendered certification rows — then calls [body oc] to
     print the leg's remaining comma-separated fields (each line indented
     two spaces, no trailing comma after the last field), and closes the
@@ -38,7 +37,6 @@ val schema_version : int
 val write :
   benchmark:string ->
   ?host:string ->
-  ?batch:int * bool ->
   ?cells:int * int * int ->
   ?certification:string list ->
   out_channel ->

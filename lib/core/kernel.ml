@@ -82,8 +82,6 @@ type ('x, 'l) t = {
   scratch_row : int array array;
   in_scratch : 'l array array;
   dec_tbl : 'l array; (* [||] when the space is too large to tabulate *)
-  bytes_per_label : int;
-  key_buf : Bytes.t;
   (* [run_into]'s second buffer; with [pair_*] (allocated on first use)
      also the two buffers [run_until_stable] and [settle] step through,
      [cur_*] being the current state and [nxt_*] the other one. *)
@@ -182,7 +180,6 @@ let create ?(max_table_words = default_max_table_words)
           (if rows <= cap then lnot rows else pow2_floor (max 1 cap) - 1)
     | _ -> mode.(i) <- mode_raw
   done;
-  let bytes_per_label = Label.code_bytes p.Protocol.space in
   {
     p;
     input;
@@ -202,8 +199,6 @@ let create ?(max_table_words = default_max_table_words)
     scratch_row;
     in_scratch;
     dec_tbl;
-    bytes_per_label;
-    key_buf = Bytes.create (m * bytes_per_label);
     spare_labels = Array.make m 0;
     spare_outputs = Array.make n 0;
     pair_labels = [||];
@@ -254,7 +249,7 @@ let fill_row t i src row off =
    digits are recovered by reverse divmod (the code packs them
    most-significant first, exactly as [in_code] builds it), decoded into
    the same scratch and fed to the same reaction — bit-identical rows, no
-   source buffer. Used by the memo tier and the batched planes. *)
+   source buffer. Used by the memo tier. *)
 let fill_row_coded t i code row off =
   let din = t.in_off.(i + 1) - t.in_off.(i) in
   let inc = t.in_scratch.(i) in
@@ -360,32 +355,6 @@ let eval t src i =
   (row, row_offset t i src row)
 
 let eval_row t ~src ~i = eval t src i
-
-(* [eval] when the caller already holds the packed incoming code (the
-   batched planes gather codes straight out of their label planes). Rows
-   filled here are bit-identical to [fill_row]'s, so a kernel shared
-   between per-instance and batched stepping stays coherent. *)
-let eval_coded t i code =
-  let d = t.out_off.(i + 1) - t.out_off.(i) in
-  let mode = Array.unsafe_get t.mode i in
-  if mode = mode_table then begin
-    let base = code * (d + 1) in
-    let tbl = t.tables.(i) in
-    if Bytes.unsafe_get t.filled.(i) code = '\000' then begin
-      fill_row_coded t i code tbl base;
-      Bytes.unsafe_set t.filled.(i) code '\001'
-    end;
-    (tbl, base)
-  end
-  else if mode = mode_memo then begin
-    let mm = memo_table t i in
-    (mm, memo_lookup t i mm code)
-  end
-  else begin
-    let row = t.scratch_row.(i) in
-    fill_row_coded t i code row 0;
-    (row, 0)
-  end
 
 (* The hot loop: the table and raw tiers inlined so that a warm step
    allocates nothing — no [(row, base)] pair, no closure over the active
@@ -538,8 +507,7 @@ let is_stable_packed t src =
 let is_stable t ~labels = is_stable_packed t labels
 
 (* Node [i]'s output when reacting to the packed labeling [labels] — the
-   settle refresh, also for batched instances whose horizon state lives in
-   a retirement snapshot. *)
+   settle refresh at a stable horizon. *)
 let node_output t ~labels ~i =
   let row = row_array t i in
   row.(row_offset t i labels row + t.out_off.(i + 1) - t.out_off.(i))
@@ -809,209 +777,3 @@ let settle t ~init ~schedule ~max_steps =
       else Array.sub t.hist ((t.entry + 1) * t.n) t.n
     in
     Some { Engine.settle_time; settled_outputs; horizon_config = current t }
-
-(* ------------------------------------------------------------------ *)
-(* Batched planes (the primitives behind {!Batch})                     *)
-(* ------------------------------------------------------------------ *)
-
-type plane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* The batched twin of [apply_active]: one pass per active node, instance
-   columns innermost. Codes are gathered edge-by-edge so every inner loop
-   reads one edge's instance row contiguously; the reaction tiers are the
-   kernel's own, shared read-only across the batch — a row is a
-   value-deterministic function of its incoming code, so the order in
-   which instances fault rows in cannot change any result. The per-node
-   fixed costs (CSR lookups, tier dispatch, the active-list walk and the
-   carry-over decision) are paid once per node per lock-step sweep instead
-   of once per instance. *)
-let step_plane t ~stride ~live ~nlive ~src ~src_outputs ~dst ~dst_outputs
-    ~codes ~active =
-  (if active == t.full_active then ()
-   else if covers_all t active then t.full_active <- active
-   else begin
-     (* Whole-plane carry-over: retired columns ride along as stale data
-        (their snapshots are authoritative), which keeps the copy one
-        straight memcpy. *)
-     Bigarray.Array1.blit src dst;
-     Bigarray.Array1.blit src_outputs dst_outputs
-   end);
-  let card = t.card in
-  (* Dense fast path: until an instance retires, [live] is the identity
-     map, so the column index IS the loop index — no [live] indirection,
-     gathers and scatters walk each edge row sequentially, and the table
-     tier can rebase [codes] to row offsets once and scatter edge-outer
-     (fully sequential plane writes). Checked once per sweep; O(nlive)
-     against the per-node work it guards. *)
-  let dense =
-    let rec ident p = p >= nlive || (Array.unsafe_get live p = p && ident (p + 1)) in
-    ident 0
-  in
-  let rec go = function
-    | [] -> ()
-    | i :: rest ->
-        let ilo = Array.unsafe_get t.in_off i in
-        let ihi = Array.unsafe_get t.in_off (i + 1) in
-        (if ilo = ihi then Array.fill codes 0 nlive 0
-         else if dense then begin
-           let base0 = Array.unsafe_get t.in_flat ilo * stride in
-           for p = 0 to nlive - 1 do
-             Array.unsafe_set codes p
-               (Bigarray.Array1.unsafe_get src (base0 + p))
-           done;
-           for k = ilo + 1 to ihi - 1 do
-             let base = Array.unsafe_get t.in_flat k * stride in
-             for p = 0 to nlive - 1 do
-               Array.unsafe_set codes p
-                 ((Array.unsafe_get codes p * card)
-                 + Bigarray.Array1.unsafe_get src (base + p))
-             done
-           done
-         end
-         else begin
-           let base0 = Array.unsafe_get t.in_flat ilo * stride in
-           for p = 0 to nlive - 1 do
-             Array.unsafe_set codes p
-               (Bigarray.Array1.unsafe_get src
-                  (base0 + Array.unsafe_get live p))
-           done;
-           for k = ilo + 1 to ihi - 1 do
-             let base = Array.unsafe_get t.in_flat k * stride in
-             for p = 0 to nlive - 1 do
-               Array.unsafe_set codes p
-                 ((Array.unsafe_get codes p * card)
-                 + Bigarray.Array1.unsafe_get src
-                     (base + Array.unsafe_get live p))
-             done
-           done
-         end);
-        let olo = Array.unsafe_get t.out_off i in
-        let d = Array.unsafe_get t.out_off (i + 1) - olo in
-        let oflat = t.out_flat in
-        let obase = i * stride in
-        (if Array.unsafe_get t.mode i = mode_table then begin
-           let tbl = Array.unsafe_get t.tables i in
-           let flags = Array.unsafe_get t.filled i in
-           if dense then begin
-             (* Pass 1: fault rows in and rebase codes to row offsets;
-                pass 2: scatter edge-outer so every plane write is
-                sequential in the instance index. *)
-             let d1 = d + 1 in
-             for p = 0 to nlive - 1 do
-               let code = Array.unsafe_get codes p in
-               if Bytes.unsafe_get flags code = '\000' then begin
-                 fill_row_coded t i code tbl (code * d1);
-                 Bytes.unsafe_set flags code '\001'
-               end;
-               Array.unsafe_set codes p (code * d1)
-             done;
-             for k = 0 to d - 1 do
-               let dbase = Array.unsafe_get oflat (olo + k) * stride in
-               for p = 0 to nlive - 1 do
-                 Bigarray.Array1.unsafe_set dst (dbase + p)
-                   (Array.unsafe_get tbl (Array.unsafe_get codes p + k))
-               done
-             done;
-             for p = 0 to nlive - 1 do
-               Bigarray.Array1.unsafe_set dst_outputs (obase + p)
-                 (Array.unsafe_get tbl (Array.unsafe_get codes p + d))
-             done
-           end
-           else
-             for p = 0 to nlive - 1 do
-               let code = Array.unsafe_get codes p in
-               let base = code * (d + 1) in
-               if Bytes.unsafe_get flags code = '\000' then begin
-                 fill_row_coded t i code tbl base;
-                 Bytes.unsafe_set flags code '\001'
-               end;
-               let j = Array.unsafe_get live p in
-               for k = 0 to d - 1 do
-                 Bigarray.Array1.unsafe_set dst
-                   ((Array.unsafe_get oflat (olo + k) * stride) + j)
-                   (Array.unsafe_get tbl (base + k))
-               done;
-               Bigarray.Array1.unsafe_set dst_outputs (obase + j)
-                 (Array.unsafe_get tbl (base + d))
-             done
-         end
-         else if Array.unsafe_get t.mode i = mode_memo then begin
-           let mm = memo_table t i in
-           for p = 0 to nlive - 1 do
-             let base = memo_lookup t i mm (Array.unsafe_get codes p) in
-             let j = if dense then p else Array.unsafe_get live p in
-             for k = 0 to d - 1 do
-               Bigarray.Array1.unsafe_set dst
-                 ((Array.unsafe_get oflat (olo + k) * stride) + j)
-                 (Array.unsafe_get mm (base + k))
-             done;
-             Bigarray.Array1.unsafe_set dst_outputs (obase + j)
-               (Array.unsafe_get mm (base + d))
-           done
-         end
-         else begin
-           let row = Array.unsafe_get t.scratch_row i in
-           for p = 0 to nlive - 1 do
-             fill_row_coded t i (Array.unsafe_get codes p) row 0;
-             let j = if dense then p else Array.unsafe_get live p in
-             for k = 0 to d - 1 do
-               Bigarray.Array1.unsafe_set dst
-                 ((Array.unsafe_get oflat (olo + k) * stride) + j)
-                 (Array.unsafe_get row k)
-             done;
-             Bigarray.Array1.unsafe_set dst_outputs (obase + j)
-               (Array.unsafe_get row d)
-           done
-         end);
-        go rest
-  in
-  go active
-
-(* [in_code] read off one plane column. *)
-let in_code_in_plane t ~stride ~j ~src i =
-  let card = t.card in
-  let c = ref 0 in
-  for k = Array.unsafe_get t.in_off i to Array.unsafe_get t.in_off (i + 1) - 1
-  do
-    c :=
-      (!c * card)
-      + Bigarray.Array1.unsafe_get src
-          ((Array.unsafe_get t.in_flat k * stride) + j)
-  done;
-  !c
-
-(* [is_stable_packed] for one plane column. *)
-let stable_in_plane t ~stride ~j ~src =
-  let rec check i =
-    if i >= t.n then true
-    else begin
-      let row, base = eval_coded t i (in_code_in_plane t ~stride ~j ~src i) in
-      let olo = t.out_off.(i) in
-      let d = t.out_off.(i + 1) - olo in
-      let rec same k =
-        k >= d
-        || (row.(base + k)
-            = Bigarray.Array1.unsafe_get src
-                ((Array.unsafe_get t.out_flat (olo + k) * stride) + j)
-           && same (k + 1))
-      in
-      if same 0 then check (i + 1) else false
-    end
-  in
-  check 0
-
-(* Instance [j]'s labeling as a string key: {!Label.code_bytes} bytes per
-   code, little-endian, the packing of {!Protocol.config_key}. *)
-let key_in_plane t ~stride ~j ~src =
-  let bpl = t.bytes_per_label in
-  let buf = t.key_buf in
-  for e = 0 to t.m - 1 do
-    let v =
-      ref (Bigarray.Array1.unsafe_get src ((e * stride) + j))
-    in
-    for k = 0 to bpl - 1 do
-      Bytes.unsafe_set buf ((e * bpl) + k) (Char.unsafe_chr (!v land 0xff));
-      v := !v lsr 8
-    done
-  done;
-  Bytes.to_string buf

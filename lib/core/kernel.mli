@@ -165,59 +165,10 @@ val settle_codes :
   max_steps:int ->
   int option
 
-(** {1 Batched planes}
-
-    The primitives behind {!Batch}: K independent instances of the same
-    compiled protocol stored as Bigarray planes with the instance index
-    innermost — edge [e] of instance [j] lives at [e * stride + j], node
-    [i]'s output at [i * stride + j]. One {!step_plane} advances every
-    live instance through a single pass over the shared CSR incidence;
-    the kernel's reaction tiers (tables, memo, scratch) are shared
-    read-only across the batch, which is sound because a row is a
-    value-deterministic function of its incoming code alone. *)
-
-type plane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(** [step_plane t ~stride ~live ~nlive ~src ~src_outputs ~dst ~dst_outputs
-    ~codes ~active] applies one global transition to the instance columns
-    [live.(0 .. nlive-1)] of the planes. When [active] does not cover all
-    nodes the whole source planes are blitted into the destination first
-    (retired columns carry stale data; their snapshots in {!Batch} are
-    authoritative). [codes] is caller-owned scratch of length >= [nlive].
-    Bit-identical per column to {!step_into}. *)
-val step_plane :
-  ('x, 'l) t ->
-  stride:int ->
-  live:int array ->
-  nlive:int ->
-  src:plane ->
-  src_outputs:plane ->
-  dst:plane ->
-  dst_outputs:plane ->
-  codes:int array ->
-  active:int list ->
-  unit
-
-(** [stable_in_plane t ~stride ~j ~src] is whether instance column [j] of
-    the label plane [src] is a fixed point of the global transition — the
-    plane form of the stability probe inside {!run_until_stable}. *)
-val stable_in_plane : ('x, 'l) t -> stride:int -> j:int -> src:plane -> bool
-
-(** [key_in_plane t ~stride ~j ~src] packs instance [j]'s edge labels into
-    the key {!Protocol.config_key} builds for that labeling
-    ({!Label.code_bytes} bytes per code), so two instances share a key iff
-    their labelings coincide. {!Batch} deduplicates on it. *)
-val key_in_plane : ('x, 'l) t -> stride:int -> j:int -> src:plane -> string
-
 (** [is_stable t ~labels] is {!Protocol.is_stable} on a packed edge
     labeling: every node's reaction, evaluated through its tier, rewrites
     its out-edges unchanged. *)
 val is_stable : ('x, 'l) t -> labels:int array -> bool
-
-(** [node_output t ~labels i] is node [i]'s output when reacting to the
-    packed labeling [labels] — the settled-outputs refresh for batched
-    instances whose horizon state lives in a retirement snapshot. *)
-val node_output : ('x, 'l) t -> labels:int array -> i:int -> int
 
 (** [eval_row t ~src ~i] evaluates node [i]'s reaction against the packed
     edge labeling [src] through whichever tier [i] was compiled to, returning

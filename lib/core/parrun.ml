@@ -46,69 +46,3 @@ let map ?(domains = 1) ~ctx n f =
         done);
     results
   end
-
-(* Unlike [map], blocks are the work items — no grain over-partitioning —
-   so a batched context (one {!Batch} per domain) processes whole
-   contiguous index ranges and amortizes its lock-step stepping across
-   them. Results land at their indices, so the output is independent of
-   [domains] and, when [f] is per-index deterministic, of [batch]. *)
-let map_batched ?(domains = 1) ~batch ~ctx n f =
-  if domains < 1 then invalid_arg "Parrun.map_batched: domains must be >= 1";
-  if batch < 1 then invalid_arg "Parrun.map_batched: batch must be >= 1";
-  if n < 0 then invalid_arg "Parrun.map_batched: negative task count";
-  if n = 0 then [||]
-  else begin
-    let nblocks = (n + batch - 1) / batch in
-    let block b =
-      let lo = b * batch in
-      (lo, min n (lo + batch))
-    in
-    if domains = 1 || nblocks = 1 || Pool.in_worker () then begin
-      let c = ctx () in
-      let lo, hi = block 0 in
-      let r0 = f c ~lo ~hi in
-      if Array.length r0 <> hi - lo then
-        invalid_arg "Parrun.map_batched: block result has wrong length";
-      if nblocks = 1 then r0
-      else begin
-        let results = Array.make n r0.(0) in
-        Array.blit r0 0 results 0 (hi - lo);
-        for b = 1 to nblocks - 1 do
-          let lo, hi = block b in
-          let r = f c ~lo ~hi in
-          if Array.length r <> hi - lo then
-            invalid_arg "Parrun.map_batched: block result has wrong length";
-          Array.blit r 0 results lo (hi - lo)
-        done;
-        results
-      end
-    end
-    else begin
-      (* Block 0 runs on the caller first: its first element seeds the
-         result array (no [Obj.magic] placeholder). *)
-      let c0 = ctx () in
-      let lo0, hi0 = block 0 in
-      let r0 = f c0 ~lo:lo0 ~hi:hi0 in
-      if Array.length r0 <> hi0 - lo0 then
-        invalid_arg "Parrun.map_batched: block result has wrong length";
-      let results = Array.make n r0.(0) in
-      Array.blit r0 0 results 0 (hi0 - lo0);
-      let ctxs = Array.make domains None in
-      ctxs.(0) <- Some c0;
-      Pool.run ~domains ~nchunks:(nblocks - 1) (fun ~slot chunk ->
-          let c =
-            match ctxs.(slot) with
-            | Some c -> c
-            | None ->
-                let c = ctx () in
-                ctxs.(slot) <- Some c;
-                c
-          in
-          let lo, hi = block (chunk + 1) in
-          let r = f c ~lo ~hi in
-          if Array.length r <> hi - lo then
-            invalid_arg "Parrun.map_batched: block result has wrong length";
-          Array.blit r 0 results lo (hi - lo));
-      results
-    end
-  end

@@ -22,24 +22,6 @@
 
 val map : ?domains:int -> ctx:(unit -> 'c) -> int -> ('c -> int -> 'a) -> 'a array
 
-(** [map_batched ~domains ~batch ~ctx n f] is {!map} with contiguous blocks
-    of up to [batch] indices as the work items: [f c ~lo ~hi] must return
-    the results for indices [lo .. hi - 1] (an array of length [hi - lo]),
-    and the blocks are [0 .. batch - 1], [batch .. 2 * batch - 1], ... —
-    the unit a batched campaign context (one {!Batch} per domain) steps in
-    lock-step. Blocks are {e not} over-partitioned by grain: block
-    boundaries depend only on [n] and [batch], never on [domains], so when
-    [f]'s per-index results are block-independent the assembled output is
-    identical for every [domains] {e and} every [batch]. Nested calls run
-    inline, like {!map}. *)
-val map_batched :
-  ?domains:int ->
-  batch:int ->
-  ctx:(unit -> 'c) ->
-  int ->
-  ('c -> lo:int -> hi:int -> 'a array) ->
-  'a array
-
 (** The domain count requested through the [PARRUN_DOMAINS] environment
     variable, when set to a positive integer ([None] otherwise — unset,
     malformed, or non-positive). Tests and CI use it to widen the domain

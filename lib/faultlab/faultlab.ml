@@ -1,7 +1,6 @@
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
 module Kernel = Stateless_core.Kernel
-module Batch = Stateless_core.Batch
 module Schedule = Stateless_core.Schedule
 module Label = Stateless_core.Label
 module Fault = Stateless_core.Fault
@@ -15,14 +14,10 @@ module Value = Stateless_campaign.Value
 
 type recover_fn = fraction:float -> seed:int -> max_steps:int -> int option
 
-type batch_fn =
-  fractions:float array -> seeds:int array -> max_steps:int -> int option array
-
 type scenario = {
   name : string;
   schedule_name : string;
   fresh : unit -> recover_fn;
-  fresh_batch : unit -> batch_fn;
   recover : recover_fn;
 }
 
@@ -49,19 +44,16 @@ type campaign = {
 
 (* Each scenario's [fresh] builds a measurement context — a packed
    {!Kernel} plus its buffers — and returns a closure measuring one
-   corrupted run with it. [fresh_batch] builds the batched twin: a
-   {!Batch} over the same kernel, measuring a whole contiguous block of
-   the fraction × seed grid in lock-step (bit-identical per index to
-   [fresh]'s closure). Kernels hold domain-private scratch, so the
-   campaign runner calls [fresh]/[fresh_batch] once per domain; [recover]
-   is one [fresh] instance for callers that measure single runs from one
+   corrupted run with it. Kernels hold domain-private scratch, so the
+   campaign runner calls [fresh] once per domain; [recover] is one
+   [fresh] instance for callers that measure single runs from one
    domain. *)
 
-let scenario name schedule_name fresh fresh_batch =
-  { name; schedule_name; fresh; fresh_batch; recover = fresh () }
+let scenario name schedule_name fresh =
+  { name; schedule_name; fresh; recover = fresh () }
 
-(* [config]'s label codes and outputs, in fresh buffers: the scalar
-   contexts corrupt and step codes, never boxed configurations. *)
+(* [config]'s label codes and outputs, in fresh buffers: the contexts
+   corrupt and step codes, never boxed configurations. *)
 let codes kern config =
   let labels = Array.make (Kernel.num_edges kern) 0
   and outputs = Array.make (Kernel.num_nodes kern) 0 in
@@ -76,58 +68,36 @@ let example1 ?(n = 4) () =
   let schedule = Schedule.synchronous n in
   let card = p.Protocol.space.Label.card in
   let m = Protocol.num_edges p in
-  (* The healthy settle does not depend on the corruption: each context
-     certifies it once per step budget and keeps its horizon configuration,
-     boxed and as codes. *)
-  let healthy kern =
+  let fresh () =
+    let kern = Kernel.create p ~input in
+    let labels = Array.make m 0 in
+    (* The healthy settle does not depend on the corruption: each context
+       certifies it once per step budget and keeps its horizon as codes. *)
     let memo = ref None in
-    fun max_steps ->
+    let healthy max_steps =
       match !memo with
       | Some (k, h) when k = max_steps -> h
       | _ ->
           let h =
             Option.map
-              (fun (s : _ Engine.settled) ->
-                (s.Engine.horizon_config, codes kern s.Engine.horizon_config))
+              (fun (s : _ Engine.settled) -> codes kern s.Engine.horizon_config)
               (Kernel.settle kern ~init ~schedule ~max_steps)
           in
           memo := Some (max_steps, h);
           h
-  in
-  let fresh () =
-    let kern = Kernel.create p ~input in
-    let healthy = healthy kern in
-    let labels = Array.make m 0 in
+    in
     fun ~fraction ~seed ~max_steps ->
       (* [Fault.recovery_time] through the kernel, on label codes: corrupt
          the healthy horizon, re-settle. *)
       match healthy max_steps with
       | None -> None
-      | Some (_, (horizon, outputs)) ->
+      | Some (horizon, outputs) ->
           Fault.corrupt_codes ~card ~seed ~fraction ~src:horizon ~dst:labels;
           Kernel.settle_codes kern ~labels ~outputs ~schedule ~max_steps
   in
-  let fresh_batch () =
-    let kern = Kernel.create p ~input in
-    let healthy = healthy kern in
-    let bt = Batch.create kern in
-    fun ~fractions ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      match healthy max_steps with
-      | None -> Array.make b None
-      | Some (horizon, _) ->
-          let inits =
-            Array.init b (fun t ->
-                Fault.corrupt p ~seed:seeds.(t) ~fraction:fractions.(t) horizon)
-          in
-          Batch.settle bt ~inits ~schedule ~max_steps
-          |> Array.map (function
-               | Some recovered -> Some recovered.Engine.settle_time
-               | None -> None)
-  in
   scenario
     (Printf.sprintf "example1_k%d" n)
-    schedule.Schedule.name fresh fresh_batch
+    schedule.Schedule.name fresh
 
 (* The D-counter's outputs tick forever, so recovery is re-locking: the
    first step from which [agreed] holds for [d] consecutive synchronous
@@ -191,53 +161,9 @@ let d_counter ?(n = 5) ?(d = 8) () =
       done;
       !found
   in
-  let fresh_batch () =
-    let kern = Kernel.create p ~input in
-    let bt = Batch.create kern in
-    let counter_at j nd =
-      let _, (_, _, c) =
-        Kernel.decode_label kern (Batch.label_code bt ~j first_out.(nd))
-      in
-      c
-    in
-    let agreed j =
-      let c0 = counter_at j 0 in
-      let rec go nd = nd >= n || (counter_at j nd = c0 && go (nd + 1)) in
-      go 1
-    in
-    fun ~fractions ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      let inits =
-        Array.init b (fun t ->
-            Fault.corrupt p ~seed:seeds.(t) ~fraction:fractions.(t) steady)
-      in
-      Batch.load_block bt inits;
-      let found = Array.make b None in
-      let run_len = Array.make b 0 in
-      let s = ref 0 in
-      while Batch.live_count bt > 0 && !s <= max_steps do
-        for j = 0 to b - 1 do
-          if Batch.is_live bt ~j then
-            if agreed j then begin
-              run_len.(j) <- run_len.(j) + 1;
-              if run_len.(j) >= window then begin
-                found.(j) <- Some (!s - window + 1);
-                (* The per-instance loop steps once more before exiting;
-                   retiring here instead cannot change [found], which is
-                   already recorded. *)
-                Batch.retire bt ~j
-              end
-            end
-            else run_len.(j) <- 0
-        done;
-        Batch.step bt ~active:everyone;
-        incr s
-      done;
-      found
-  in
   scenario
     (Printf.sprintf "d_counter_n%d_d%d" n d)
-    schedule.Schedule.name fresh fresh_batch
+    schedule.Schedule.name fresh
 
 (* The ring oscillator never output-stabilizes by design; recovery is the
    time until the corrupted run provably re-enters a periodic orbit (the
@@ -267,23 +193,9 @@ let ring_oscillator ?(n = 5) () =
       | Kernel.Stabilized rounds -> Some rounds
       | Kernel.Exhausted -> None
   in
-  let fresh_batch () =
-    let kern = Kernel.create p ~input in
-    let bt = Batch.create kern in
-    fun ~fractions ~seeds ~max_steps ->
-      let inits =
-        Array.init (Array.length seeds) (fun t ->
-            Fault.corrupt p ~seed:seeds.(t) ~fraction:fractions.(t) steady)
-      in
-      Batch.run_until_stable bt ~inits ~schedule ~max_steps
-      |> Array.map (function
-           | Engine.Oscillating { entered; _ } -> Some entered
-           | Engine.Stabilized { rounds; _ } -> Some rounds
-           | Engine.Exhausted _ -> None)
-  in
   scenario
     (Printf.sprintf "ring_oscillator_%d" n)
-    schedule.Schedule.name fresh fresh_batch
+    schedule.Schedule.name fresh
 
 let default_scenarios () = [ example1 (); d_counter (); ring_oscillator () ]
 
@@ -303,11 +215,10 @@ let scenario_by_name ?n name =
 let default_fractions = [ 0.1; 0.25; 0.5; 0.75; 1.0 ]
 
 (* One matrix cell per fraction row covering its whole seed block: fine
-   enough that a resumed campaign skips completed rows, coarse enough
-   that a row's batched lock-step stepping stays intact. The config
-   string names everything the row's results depend on — domains and
-   batch are deliberately absent, because results are identical across
-   both by the determinism contract, so a journal written at one domain
+   enough that a resumed campaign skips completed rows. The config string
+   names everything the row's results depend on — domains are
+   deliberately absent, because results are identical across domain
+   counts by the determinism contract, so a journal written at one domain
    count replays at any other. *)
 let codec : int option array Campaign.codec =
   {
@@ -327,7 +238,7 @@ let codec : int option array Campaign.codec =
   }
 
 let cells ?(fractions = default_fractions) ?(seeds = 30) ?(max_steps = 10_000)
-    ?(seed0 = 1) ?(batch = 1) sc =
+    ?(seed0 = 1) ?batch:_ sc =
   Array.of_list
     (List.mapi
        (fun fi fraction ->
@@ -340,16 +251,10 @@ let cells ?(fractions = default_fractions) ?(seeds = 30) ?(max_steps = 10_000)
                sc.name sc.schedule_name fraction seeds seed0 max_steps;
            run =
              (fun ~deadline ~attempt ->
-               Campaign.seed_block ~seeds ~seed0 ~batch ~deadline ~attempt
+               Campaign.seed_block ~seeds ~seed0 ~deadline ~attempt
                  ~fresh:(fun () ->
                    let recover = sc.fresh () in
-                   fun seed -> recover ~fraction ~seed ~max_steps)
-                 ~fresh_batch:(fun () ->
-                   let bf = sc.fresh_batch () in
-                   fun seeds ->
-                     bf
-                       ~fractions:(Array.make (Array.length seeds) fraction)
-                       ~seeds ~max_steps));
+                   fun seed -> recover ~fraction ~seed ~max_steps));
          })
        fractions)
 
@@ -370,8 +275,8 @@ let stats_of_row ~seeds fraction row =
   }
 
 let run_matrix ?(fractions = default_fractions) ?(seeds = 30)
-    ?(max_steps = 10_000) ?(domains = 1) ?(seed0 = 1) ?(batch = 1) ?policy sc =
-  let cs = cells ~fractions ~seeds ~max_steps ~seed0 ~batch sc in
+    ?(max_steps = 10_000) ?(domains = 1) ?(seed0 = 1) ?batch:_ ?policy sc =
+  let cs = cells ~fractions ~seeds ~max_steps ~seed0 sc in
   let outcome = Campaign.run ~domains ?policy ~codec cs in
   let stats =
     List.mapi
@@ -388,8 +293,8 @@ let run_matrix ?(fractions = default_fractions) ?(seeds = 30)
     },
     outcome.Campaign.counts )
 
-let run ?fractions ?seeds ?max_steps ?domains ?seed0 ?batch sc =
-  fst (run_matrix ?fractions ?seeds ?max_steps ?domains ?seed0 ?batch sc)
+let run ?fractions ?seeds ?max_steps ?domains ?seed0 sc =
+  fst (run_matrix ?fractions ?seeds ?max_steps ?domains ?seed0 sc)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -407,8 +312,8 @@ let print_campaign oc c =
         s.recovered s.runs s.mean s.p50 s.p95 s.worst)
     c.stats
 
-let write_json ?host ?batch ?cells oc campaigns =
-  Bench_json.write ~benchmark:"faults" ?host ?batch ?cells oc (fun oc ->
+let write_json ?host ?cells oc campaigns =
+  Bench_json.write ~benchmark:"faults" ?host ?cells oc (fun oc ->
       Printf.fprintf oc "  \"campaigns\": [\n";
       List.iteri
         (fun i c ->

@@ -17,12 +17,6 @@ type recover_fn = fraction:float -> seed:int -> max_steps:int -> int option
 (** Steps until one corrupted run has provably recovered; [None] when it
     did not within [max_steps]. *)
 
-type batch_fn =
-  fractions:float array -> seeds:int array -> max_steps:int -> int option array
-(** Measures a contiguous block of the fraction × seed grid in lock-step
-    through {!Stateless_core.Batch}: element [t] is exactly what
-    {!recover_fn} returns for [(fractions.(t), seeds.(t))]. *)
-
 type scenario = {
   name : string;
   schedule_name : string;
@@ -30,10 +24,6 @@ type scenario = {
       (** Builds a measurement context (a packed kernel and its buffers)
           private to the calling domain. The campaign runner calls this
           once per domain. *)
-  fresh_batch : unit -> batch_fn;
-      (** The batched twin: a {!Stateless_core.Batch} over the same kernel
-          measuring whole blocks in lock-step, bit-identical per index to
-          [fresh]'s closure. Also once per domain. *)
   recover : recover_fn;
       (** One pre-built instance of [fresh ()], for callers measuring
           single runs from a single domain. *)
@@ -94,9 +84,10 @@ val codec : int option array Stateless_campaign.Campaign.codec
     cell per fraction row, key ["faults/<scenario>/f<i>"], covering the
     row's whole seed block, run by
     {!Stateless_campaign.Campaign.seed_block} (deadline polls between
-    seeds or lock-step blocks, reseeded retries). Config strings exclude
-    [domains] and [batch]: results are identical across both, so a
-    journal written at one setting replays at any other. *)
+    seeds, reseeded retries). Config strings exclude [domains]: results
+    are identical across domain counts, so a journal written at one
+    count replays at any other. [batch] is accepted and ignored (there is
+    one stepping path); it remains only for existing callers. *)
 val cells :
   ?fractions:float list ->
   ?seeds:int ->
@@ -110,9 +101,10 @@ val cells :
     orchestrator under [policy] (default
     {!Stateless_campaign.Campaign.default_policy}) and merges the
     records — in matrix order, so the campaign is bit-identical for
-    every domain count, batch size, and kill/resume split — into the
-    aggregated {!campaign} plus the ok/timeout/error counts. A row whose
-    cell timed out or errored degrades to zero recoveries. *)
+    every domain count and kill/resume split — into the aggregated
+    {!campaign} plus the ok/timeout/error counts. A row whose cell timed
+    out or errored degrades to zero recoveries. [batch] is accepted and
+    ignored, as in {!cells}. *)
 val run_matrix :
   ?fractions:float list ->
   ?seeds:int ->
@@ -130,10 +122,7 @@ val run_matrix :
     fraction rows over that many domains, each with its own kernel;
     the campaign is identical for every [domains] value. [seed0] (default
     1) is the first per-run seed — runs use [seed0 .. seed0 + seeds - 1],
-    so the default reproduces the historical campaigns exactly. [batch]
-    (default 1) steps blocks of that many seeds in lock-step through
-    the scenario's batched context; every [batch] value yields the
-    identical campaign, [batch <= 1] is the per-instance path.
+    so the default reproduces the historical campaigns exactly.
     Equivalent to [fst (run_matrix ...)] under the default policy. *)
 val run :
   ?fractions:float list ->
@@ -141,7 +130,6 @@ val run :
   ?max_steps:int ->
   ?domains:int ->
   ?seed0:int ->
-  ?batch:int ->
   scenario ->
   campaign
 
@@ -149,14 +137,10 @@ val run :
 val print_campaign : out_channel -> campaign -> unit
 
 (** Machine-readable JSON for a list of campaigns ([BENCH_faults.json]);
-    [host] is the [Bench_json.host] provenance block. [batch], when given, is
-    the lock-step batch size the campaigns were re-run at and whether they
-    matched the per-instance campaigns exactly — CI greps for
-    ["\"identical\": false"]. [cells] is the orchestrator's
-    [(ok, timeout, error)] accounting. *)
+    [host] is the [Bench_json.host] provenance block. [cells] is the
+    orchestrator's [(ok, timeout, error)] accounting. *)
 val write_json :
   ?host:string ->
-  ?batch:int * bool ->
   ?cells:int * int * int ->
   out_channel ->
   campaign list ->

@@ -40,7 +40,6 @@
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
 module Kernel = Stateless_core.Kernel
-module Batch = Stateless_core.Batch
 module Schedule = Stateless_core.Schedule
 module Label = Stateless_core.Label
 module Clique_example = Stateless_core.Clique_example
@@ -341,27 +340,11 @@ type measure_fn =
   max_steps:int ->
   run_result
 
-type batch_measure_fn =
-  rates:rates array ->
-  budget:budget ->
-  storm:int ->
-  seeds:int array ->
-  max_steps:int ->
-  run_result array
-
 type scenario = {
   name : string;
   schedule_name : string;
   fresh : unit -> measure_fn;
-  fresh_batch : unit -> batch_measure_fn;
 }
-
-(* The storm phase is inherently per-instance — each run owns a seeded
-   adversary whose RNG draw order is coupled to that run's own trajectory
-   (FIFOs, silences), so lock-stepping storms would change the draws. The
-   batched contexts therefore run storms per instance (on the shared
-   kernel) and batch the fault-free post-storm phase, where the wall time
-   dominates for recovery-heavy campaigns. *)
 
 (* One storm: [storm] channel steps from [steady], counting the steps on
    which [healthy] fails; returns that count and the flushed post-storm
@@ -389,19 +372,17 @@ let example1 ?(n = 4) () =
   let init = Clique_example.oscillation_init p in
   let schedule = Schedule.synchronous n in
   (* Per-domain context: a kernel and the storm from its healthy run. *)
-  let context () =
+  let fresh () =
     let kern = Kernel.create p ~input in
-    match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
-    | None -> invalid_arg "Netlab.example1: healthy run did not settle"
-    | Some h ->
-        let reference = h.Engine.settled_outputs in
-        ( kern,
+    let storm_run =
+      match Kernel.settle kern ~init ~schedule ~max_steps:10_000 with
+      | None -> invalid_arg "Netlab.example1: healthy run did not settle"
+      | Some h ->
+          let reference = h.Engine.settled_outputs in
           storm_phase kern p ~schedule ~steady:h.Engine.horizon_config
             ~healthy:(fun ch ->
-              Array.for_all2 Int.equal (Packed.outputs ch) reference) )
-  in
-  let fresh () =
-    let kern, storm_run = context () in
+              Array.for_all2 Int.equal (Packed.outputs ch) reference)
+    in
     fun ~rates ~budget ~storm ~seed ~max_steps ->
       let degraded_steps, post = storm_run ~rates ~budget ~storm ~seed in
       {
@@ -410,28 +391,10 @@ let example1 ?(n = 4) () =
           settle_time (Kernel.settle kern ~init:post ~schedule ~max_steps);
       }
   in
-  let fresh_batch () =
-    let kern, storm_run = context () in
-    let bt = Batch.create kern in
-    fun ~rates ~budget ~storm ~seeds ~max_steps ->
-      let runs =
-        Array.mapi
-          (fun t seed -> storm_run ~rates:rates.(t) ~budget ~storm ~seed)
-          seeds
-      in
-      let settled =
-        Batch.settle bt ~inits:(Array.map snd runs) ~schedule ~max_steps
-      in
-      Array.map2
-        (fun (degraded_steps, _) s ->
-          { degraded_steps; recovery = settle_time s })
-        runs settled
-  in
   {
     name = Printf.sprintf "example1_k%d" n;
     schedule_name = schedule.Schedule.name;
     fresh;
-    fresh_batch;
   }
 
 (* The D-counter: a storm step is degraded when the per-node counters
@@ -452,9 +415,9 @@ let d_counter ?(n = 5) ?(d = 8) () =
     Array.init n (fun j -> (Digraph.out_edges p.Protocol.graph j).(0))
   in
   let everyone = List.init n Fun.id in
-  (* Per-domain context: a kernel and the storm probing counter
-     agreement on the packed labels. *)
-  let context () =
+  (* Per-domain context: a kernel, the storm probing counter agreement
+     on the packed labels, and the re-lock loop's buffers. *)
+  let fresh () =
     let kern = Kernel.create p ~input in
     let counter_at labels j =
       let _, (_, _, c) = Kernel.decode_label kern labels.(first_out.(j)) in
@@ -465,13 +428,10 @@ let d_counter ?(n = 5) ?(d = 8) () =
       let rec go j = j >= n || (counter_at labels j = c0 && go (j + 1)) in
       go 1
     in
-    ( kern,
-      agreed,
+    let storm_run =
       storm_phase kern p ~schedule ~steady ~healthy:(fun ch ->
-          agreed (Packed.labels ch)) )
-  in
-  let fresh () =
-    let kern, agreed, storm_run = context () in
+          agreed (Packed.labels ch))
+    in
     let bufs = Array.init 2 (fun _ -> Array.make m 0) in
     let obufs = Array.init 2 (fun _ -> Array.make n 0) in
     fun ~rates ~budget ~storm ~seed ~max_steps ->
@@ -500,57 +460,10 @@ let d_counter ?(n = 5) ?(d = 8) () =
       done;
       { degraded_steps; recovery = !found }
   in
-  let fresh_batch () =
-    let kern, _, storm_run = context () in
-    let bt = Batch.create kern in
-    let counter_at_plane j nd =
-      let _, (_, _, c) =
-        Kernel.decode_label kern (Batch.label_code bt ~j first_out.(nd))
-      in
-      c
-    in
-    let agreed_plane j =
-      let c0 = counter_at_plane j 0 in
-      let rec go nd = nd >= n || (counter_at_plane j nd = c0 && go (nd + 1)) in
-      go 1
-    in
-    fun ~rates ~budget ~storm ~seeds ~max_steps ->
-      let b = Array.length seeds in
-      let runs =
-        Array.mapi
-          (fun t seed -> storm_run ~rates:rates.(t) ~budget ~storm ~seed)
-          seeds
-      in
-      (* Batched re-lock: the per-instance loop, lock-stepped; an instance
-         retires the moment its agreement window fills. *)
-      Batch.load_block bt (Array.map snd runs);
-      let found = Array.make b None in
-      let run_len = Array.make b 0 in
-      let s = ref 0 in
-      while Batch.live_count bt > 0 && !s <= max_steps do
-        for j = 0 to b - 1 do
-          if Batch.is_live bt ~j then
-            if agreed_plane j then begin
-              run_len.(j) <- run_len.(j) + 1;
-              if run_len.(j) >= d then begin
-                found.(j) <- Some (!s - d + 1);
-                Batch.retire bt ~j
-              end
-            end
-            else run_len.(j) <- 0
-        done;
-        Batch.step bt ~active:everyone;
-        incr s
-      done;
-      Array.mapi
-        (fun t (degraded_steps, _) -> { degraded_steps; recovery = found.(t) })
-        runs
-  in
   {
     name = Printf.sprintf "d_counter_n%d_d%d" n d;
     schedule_name = schedule.Schedule.name;
     fresh;
-    fresh_batch;
   }
 
 let default_scenarios () = [ example1 (); d_counter () ]
@@ -640,7 +553,7 @@ let level_config ~name ~schedule ~budget ~storm ~seeds ~seed0 ~max_steps lv =
     budget.k budget.window storm seeds seed0 max_steps
 
 let cells ?(levels = default_levels) ?(seeds = 20) ?(storm = 400)
-    ?(max_steps = 10_000) ?(seed0 = 1) ?(batch = 1) ~budget sc =
+    ?(max_steps = 10_000) ?(seed0 = 1) ?batch:_ ~budget sc =
   check_budget budget;
   List.iter check_rates levels;
   Array.of_list
@@ -653,17 +566,11 @@ let cells ?(levels = default_levels) ?(seeds = 20) ?(storm = 400)
                ~storm ~seeds ~seed0 ~max_steps level;
            run =
              (fun ~deadline ~attempt ->
-               Campaign.seed_block ~seeds ~seed0 ~batch ~deadline ~attempt
+               Campaign.seed_block ~seeds ~seed0 ~deadline ~attempt
                  ~fresh:(fun () ->
                    let measure = sc.fresh () in
                    fun seed ->
-                     measure ~rates:level ~budget ~storm ~seed ~max_steps)
-                 ~fresh_batch:(fun () ->
-                   let bf = sc.fresh_batch () in
-                   fun seeds ->
-                     bf
-                       ~rates:(Array.make (Array.length seeds) level)
-                       ~budget ~storm ~seeds ~max_steps));
+                     measure ~rates:level ~budget ~storm ~seed ~max_steps));
          })
        levels)
 
@@ -685,9 +592,8 @@ let stats_of_row ~seeds ~storm level row =
   }
 
 let run_matrix ?(levels = default_levels) ?(seeds = 20) ?(storm = 400)
-    ?(max_steps = 10_000) ?(domains = 1) ?(seed0 = 1) ?(batch = 1) ?policy
-    ~budget sc =
-  let cs = cells ~levels ~seeds ~storm ~max_steps ~seed0 ~batch ~budget sc in
+    ?(max_steps = 10_000) ?(domains = 1) ?(seed0 = 1) ?policy ~budget sc =
+  let cs = cells ~levels ~seeds ~storm ~max_steps ~seed0 ~budget sc in
   let outcome = Campaign.run ~domains ?policy ~codec cs in
   let level_stats =
     List.mapi
@@ -707,9 +613,8 @@ let run_matrix ?(levels = default_levels) ?(seeds = 20) ?(storm = 400)
     },
     outcome.Campaign.counts )
 
-let run ?levels ?seeds ?storm ?max_steps ?domains ?seed0 ?batch ~budget sc =
-  fst (run_matrix ?levels ?seeds ?storm ?max_steps ?domains ?seed0 ?batch
-         ~budget sc)
+let run ?levels ?seeds ?storm ?max_steps ?domains ?seed0 ~budget sc =
+  fst (run_matrix ?levels ?seeds ?storm ?max_steps ?domains ?seed0 ~budget sc)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -731,8 +636,8 @@ let print_campaign oc c =
         s.runs s.mean_recovery s.p50 s.p95 s.worst (100. *. s.mean_degraded))
     c.levels
 
-let write_json ?host ?batch ?cells ?certification oc campaigns =
-  Bench_json.write ~benchmark:"netlab" ?host ?batch ?cells ?certification oc
+let write_json ?host ?cells ?certification oc campaigns =
+  Bench_json.write ~benchmark:"netlab" ?host ?cells ?certification oc
     (fun oc ->
       Printf.fprintf oc "  \"campaigns\": [\n";
       List.iteri

@@ -148,28 +148,12 @@ type measure_fn =
   max_steps:int ->
   run_result
 
-type batch_measure_fn =
-  rates:rates array ->
-  budget:budget ->
-  storm:int ->
-  seeds:int array ->
-  max_steps:int ->
-  run_result array
-(** Measures a contiguous block of the level × seed grid: element [t] is
-    exactly what {!measure_fn} returns for [(rates.(t), seeds.(t))].
-    Storms stay per-instance (each run's adversary RNG draw order is
-    coupled to its own trajectory); the fault-free post-storm recovery
-    phase runs in lock-step through {!Stateless_core.Batch}. *)
-
 type scenario = {
   name : string;
   schedule_name : string;
   fresh : unit -> measure_fn;
       (** build per-domain state (kernel, healthy reference); the
           returned closure must be deterministic in its arguments *)
-  fresh_batch : unit -> batch_measure_fn;
-      (** the batched twin over the same kernel, bit-identical per index
-          to [fresh]'s closure; also once per domain *)
 }
 
 (** Example 1 on K_n (default [n = 4]): runs the storm from the healthy
@@ -225,8 +209,10 @@ val codec : run_result array Stateless_campaign.Campaign.codec
     cells — one per rate level, key ["netlab/<scenario>/l<i>"], covering
     the level's whole seed block, run by
     {!Stateless_campaign.Campaign.seed_block} (deadline polls between
-    seeds or lock-step blocks, reseeded retries). Config strings
-    exclude [domains] and [batch] (results are identical across both). *)
+    seeds, reseeded retries). Config strings exclude [domains] (results
+    are identical across domain counts). [batch] is accepted and ignored
+    (there is one stepping path); it remains only for existing
+    callers. *)
 val cells :
   ?levels:rates list ->
   ?seeds:int ->
@@ -250,7 +236,6 @@ val run_matrix :
   ?max_steps:int ->
   ?domains:int ->
   ?seed0:int ->
-  ?batch:int ->
   ?policy:Stateless_campaign.Campaign.policy ->
   budget:budget ->
   scenario ->
@@ -260,9 +245,7 @@ val run_matrix :
     (defaults: {!default_levels}, 20 seeds, storm 400, max_steps 10000)
     through the campaign orchestrator: results are bit-identical for
     every [domains] value. [seed0] (default 1) is the first per-run seed —
-    runs use [seed0 .. seed0 + seeds - 1]. [batch] (default 1) measures
-    blocks of that many seeds through the scenario's batched context;
-    campaigns are identical for every [batch] value. Equivalent to
+    runs use [seed0 .. seed0 + seeds - 1]. Equivalent to
     [fst (run_matrix ...)] under the default policy. *)
 val run :
   ?levels:rates list ->
@@ -271,24 +254,20 @@ val run :
   ?max_steps:int ->
   ?domains:int ->
   ?seed0:int ->
-  ?batch:int ->
   budget:budget ->
   scenario ->
   campaign
 
 val print_campaign : out_channel -> campaign -> unit
 
-(** [write_json ?host ?batch ?cells ?certification oc campaigns] emits
-    the [BENCH_netlab.json] document. [host] is a preformatted JSON
-    object (as in [Faultlab.host_json]); [batch], when given, is the
-    lock-step batch size the campaigns were re-run at and whether they
-    matched the per-instance campaigns exactly; [cells] is the
+(** [write_json ?host ?cells ?certification oc campaigns] emits the
+    [BENCH_netlab.json] document. [host] is a preformatted JSON object
+    (as in [Faultlab.host_json]); [cells] is the
     orchestrator's [(ok, timeout, error)] accounting; [certification]
     rows are preformatted JSON objects from the bounded-adversary
     checker (see {!Netcheck}). *)
 val write_json :
   ?host:string ->
-  ?batch:int * bool ->
   ?cells:int * int * int ->
   ?certification:string list ->
   out_channel ->

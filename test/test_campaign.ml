@@ -138,99 +138,50 @@ let test_value_oversized_numbers_rejected () =
 (* ------------------------------------------------------------------ *)
 
 (* A seed block over a synthetic measurement, recording every deadline
-   poll, every fresh context and every block size. *)
-let traced_block ?(deadline = fun _ -> false) ~seeds ~seed0 ~batch ~attempt ()
-    =
-  let polls = ref 0 and freshes = ref 0 and blocks = ref [] in
-  let measure seed = (seed * 31) + 7 in
+   poll and every fresh context. *)
+let traced_block ?(deadline = fun _ -> false) ~seeds ~seed0 ~attempt () =
+  let polls = ref 0 and freshes = ref 0 in
   let out =
-    Campaign.seed_block ~seeds ~seed0 ~batch ~attempt
+    Campaign.seed_block ~seeds ~seed0 ~attempt
       ~deadline:(fun () ->
         incr polls;
         deadline !polls)
       ~fresh:(fun () ->
         incr freshes;
-        measure)
-      ~fresh_batch:(fun () ->
-        incr freshes;
-        fun block ->
-          blocks := Array.length block :: !blocks;
-          Array.map measure block)
+        fun seed -> (seed * 31) + 7)
   in
-  (out, !polls, !freshes, List.rev !blocks)
+  (out, !polls, !freshes)
 
 let test_seed_block_polls () =
   (* Chaos clock decisions are indexed by how often the deadline is
-     read, so the poll count is part of storm replay. *)
+     read, so the poll count is part of storm replay: one per seed. *)
   List.iter
-    (fun (seeds, batch, polls, blocks) ->
-      let _, p, f, b = traced_block ~seeds ~seed0:1 ~batch ~attempt:0 () in
-      let what = Printf.sprintf "seeds %d batch %d" seeds batch in
-      Alcotest.(check int) (what ^ ": polls") polls p;
+    (fun seeds ->
+      let out, p, f = traced_block ~seeds ~seed0:5 ~attempt:0 () in
+      let what = Printf.sprintf "seeds %d" seeds in
+      Alcotest.(check int) (what ^ ": polls") seeds p;
       Alcotest.(check int) (what ^ ": one fresh context") 1 f;
-      Alcotest.(check (list int)) (what ^ ": block sizes") blocks b)
-    [
-      (7, 1, 7, []);
-      (7, 0, 7, []);
-      (7, 3, 3, [ 3; 3; 1 ]);
-      (7, 7, 1, [ 7 ]);
-      (7, 16, 1, [ 7 ]);
-      (0, 1, 0, []);
-      (0, 3, 0, []);
-    ]
+      Alcotest.(check (array int))
+        (what ^ ": results")
+        (Array.init seeds (fun j -> ((5 + j) * 31) + 7))
+        out)
+    [ 7; 1; 0 ]
 
 let test_seed_block_deadline_stops () =
-  (* The second poll expires: one seed (or one block) was measured. *)
-  List.iter
-    (fun batch ->
-      match
-        traced_block ~deadline:(fun n -> n >= 2) ~seeds:7 ~seed0:1 ~batch
-          ~attempt:0 ()
-      with
-      | _ -> Alcotest.fail "expected Deadline_exceeded"
-      | exception Campaign.Deadline_exceeded -> ())
-    [ 1; 3 ]
-
-let test_seed_block_batched_equals_per_seed () =
-  let per_seed, _, _, _ =
-    traced_block ~seeds:7 ~seed0:5 ~batch:1 ~attempt:0 ()
-  in
-  let batched, _, _, _ =
-    traced_block ~seeds:7 ~seed0:5 ~batch:3 ~attempt:0 ()
-  in
-  Alcotest.(check (array int))
-    "synthetic" (Array.init 7 (fun j -> ((5 + j) * 31) + 7)) per_seed;
-  Alcotest.(check (array int)) "synthetic batch 3" per_seed batched;
-  (* The same on real lab cells, whose batched contexts share a kernel
-     and lock-step their recovery phase. *)
-  let row cells =
-    (cells.(1) : _ Campaign.cell).run ~deadline:(fun () -> false) ~attempt:0
-  in
-  let budget = { Netlab.k = 3; window = 8 } in
-  let net batch =
-    row
-      (Netlab.cells ~seeds:7 ~storm:40 ~batch ~budget
-         (Netlab.d_counter ()))
-  in
-  Alcotest.(check bool) "netlab batch 3" true (net 1 = net 3);
-  let byz batch =
-    row
-      (Byzlab.cells ~seeds:7 ~attack:40 ~batch ~strategy:Byzlab.Seeded_random
-         (Byzlab.example1 ()))
-  in
-  Alcotest.(check bool) "byzlab batch 3" true (byz 1 = byz 3);
-  let faults batch =
-    row (Faultlab.cells ~seeds:7 ~batch (Faultlab.d_counter ()))
-  in
-  Alcotest.(check bool) "faultlab batch 3" true (faults 1 = faults 3)
+  (* The second poll expires: one seed was measured. *)
+  match
+    traced_block ~deadline:(fun n -> n >= 2) ~seeds:7 ~seed0:1 ~attempt:0 ()
+  with
+  | _ -> Alcotest.fail "expected Deadline_exceeded"
+  | exception Campaign.Deadline_exceeded -> ()
 
 let test_seed_block_reseeds () =
   List.iter
-    (fun batch ->
-      let out, _, _, _ = traced_block ~seeds:3 ~seed0:5 ~batch ~attempt:1 () in
-      let first = 5 + Campaign.reseed_stride in
+    (fun attempt ->
+      let out, _, _ = traced_block ~seeds:3 ~seed0:5 ~attempt () in
+      let first = 5 + (attempt * Campaign.reseed_stride) in
       Alcotest.(check (array int))
-        (Printf.sprintf "attempt 1, batch %d" batch)
+        (Printf.sprintf "attempt %d" attempt)
         (Array.init 3 (fun j -> ((first + j) * 31) + 7))
         out)
     [ 1; 2 ]
@@ -583,8 +534,6 @@ let () =
             test_seed_block_polls;
           Alcotest.test_case "expired deadline stops the block" `Quick
             test_seed_block_deadline_stops;
-          Alcotest.test_case "batched equals per seed" `Quick
-            test_seed_block_batched_equals_per_seed;
           Alcotest.test_case "retry reseeds the block" `Quick
             test_seed_block_reseeds;
           Alcotest.test_case "recovery summary" `Quick test_summary;

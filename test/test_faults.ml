@@ -464,8 +464,8 @@ let test_campaign_identical_across_domains () =
 
 (* [Faultlab.run_matrix] rows of the three default scenarios at 200 seeds,
    recorded before recovery runs moved onto label codes: (scenario,
-   fraction, runs, recovered, mean, p50, p95, worst). Every batch size and
-   domain count must reproduce them exactly. *)
+   fraction, runs, recovered, mean, p50, p95, worst). The sequential run
+   and every count of [domain_matrix] must reproduce them exactly. *)
 let golden_rows =
   [
     ("example1_k4", 0x1.999999999999ap-4, 200, 200, 0x1.47ae147ae147bp-7, 0, 0, 2);
@@ -486,10 +486,10 @@ let golden_rows =
   ]
 
 let test_golden_rows () =
-  let rows ~batch ~domains =
+  let rows ~domains =
     List.concat_map
       (fun sc ->
-        let c, _ = Faultlab.run_matrix ~seeds:200 ~batch ~domains sc in
+        let c, _ = Faultlab.run_matrix ~seeds:200 ~domains sc in
         List.map
           (fun (s : Faultlab.fraction_stats) ->
             ( c.Faultlab.scenario_name, s.fraction, s.runs, s.recovered,
@@ -498,12 +498,12 @@ let test_golden_rows () =
       (Faultlab.default_scenarios ())
   in
   List.iter
-    (fun (batch, domains) ->
+    (fun domains ->
       check_bool
-        (Printf.sprintf "golden rows at batch %d, %d domains" batch domains)
+        (Printf.sprintf "golden rows at %d domains" domains)
         true
-        (rows ~batch ~domains = golden_rows))
-    [ (1, 1); (16, 1); (1, 2); (16, 2) ]
+        (rows ~domains = golden_rows))
+    (1 :: domain_matrix)
 
 let test_adversarial_identical_across_domains () =
   let p = Clique_example.make 4 in

@@ -8,7 +8,6 @@
 module Protocol = Stateless_core.Protocol
 module Engine = Stateless_core.Engine
 module Kernel = Stateless_core.Kernel
-module Batch = Stateless_core.Batch
 module Parrun = Stateless_core.Parrun
 module Schedule = Stateless_core.Schedule
 module Label = Stateless_core.Label
@@ -292,15 +291,7 @@ let test_wide_codes () =
       Alcotest.(check bool) (tier ^ ": kernel oscillates") true
         (oscillating (Kernel.run_until_stable k ~init ~schedule ~max_steps));
       Alcotest.(check bool) (tier ^ ": kernel never settles") true
-        (Kernel.settle k ~init ~schedule ~max_steps = None);
-      let bt = Batch.create k in
-      Alcotest.(check bool) (tier ^ ": batch oscillates") true
-        (Array.for_all oscillating
-           (Batch.run_until_stable bt ~inits:[| init; init |] ~schedule
-              ~max_steps));
-      Alcotest.(check bool) (tier ^ ": batch never settles") true
-        (Array.for_all Option.is_none
-           (Batch.settle bt ~inits:[| init; init |] ~schedule ~max_steps)))
+        (Kernel.settle k ~init ~schedule ~max_steps = None))
     (kernels p ~input)
 
 (* A memo node whose distinct incoming codes all fit its slots indexes

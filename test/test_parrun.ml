@@ -182,34 +182,6 @@ let test_map_exception_propagates () =
     Alcotest.fail "exception swallowed"
   with Boom 63 -> ()
 
-(* map_batched must agree with map for every batch/domain split, including
-   blocks that don't divide n, and must reject wrong-length block results. *)
-let test_map_batched_matches_map () =
-  let f _ i = (i * 17) lxor (i lsl 2) in
-  let n = 103 in
-  let expect = Parrun.map ~domains:1 ~ctx:(fun () -> ()) n f in
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun batch ->
-          let got =
-            Parrun.map_batched ~domains ~batch ~ctx:(fun () -> ()) n
-              (fun () ~lo ~hi -> Array.init (hi - lo) (fun t -> f () (lo + t)))
-          in
-          Alcotest.(check (array int))
-            (Printf.sprintf "domains=%d batch=%d" domains batch)
-            expect got)
-        [ 1; 2; 7; 64; 200 ])
-    domain_counts
-
-let test_map_batched_length_check () =
-  try
-    ignore
-      (Parrun.map_batched ~domains:1 ~batch:8 ~ctx:(fun () -> ()) 20
-         (fun () ~lo ~hi:_ -> Array.make 3 lo));
-    Alcotest.fail "wrong-length block accepted"
-  with Invalid_argument _ -> ()
-
 let test_map_nested_in_map () =
   (* An inner Parrun.map inside an outer one must run inline in the worker
      and still produce the right values. *)
@@ -297,10 +269,6 @@ let () =
           Alcotest.test_case "exception propagates" `Quick
             test_map_exception_propagates;
           Alcotest.test_case "nested map" `Quick test_map_nested_in_map;
-          Alcotest.test_case "map_batched matches map" `Quick
-            test_map_batched_matches_map;
-          Alcotest.test_case "map_batched length check" `Quick
-            test_map_batched_length_check;
         ] );
       ( "cross-layer",
         [
