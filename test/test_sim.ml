@@ -139,6 +139,137 @@ let test_async_identical_across_domains () =
     [ 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden asynchronous trajectories                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Simlab = Stateless_simlab.Simlab
+
+(* Simlab contagion runs at 2,000 nodes over every latency shape the
+   delivery structures distinguish (variable, zero-width uniform, heavy
+   tail), with and without message and crash faults, on a ring and a
+   sparse random graph. Each row pins (events, activations, deliveries,
+   lost, duplicated, crash_windows, metric, label_hash): a change to the
+   event storage must reproduce every trajectory exactly. *)
+let golden_faults =
+  [
+    ("clean", Eventsim.no_faults);
+    ("faulty", { Eventsim.loss = 0.05; dup = 0.02; crash = 0.01; crash_len = 1.0 });
+  ]
+
+let golden_instances () =
+  List.concat_map
+    (fun topo ->
+      List.concat_map
+        (fun lat ->
+          List.map
+            (fun (fname, faults) ->
+              let get = function Ok x -> x | Error e -> failwith e in
+              let inst =
+                Simlab.build
+                  (Simlab.Contagion { threshold = 0.3; seed_frac = 0.1 })
+                  (get (Simlab.topology_of_string topo))
+                  ~graph_seed:42 ~nodes:2000 ~rate:1.0
+                  ~latency:(get (Simlab.latency_of_string lat))
+                  ~faults
+              in
+              (Printf.sprintf "%s %s %s" topo lat fname, inst))
+            golden_faults)
+        [ "exp:0.7"; "uniform:0.1:1.5"; "uniform:0:0"; "pareto:0.8:0.1" ])
+    [ "ring"; "er:4" ]
+
+let golden_horizon = 10.0
+
+let golden_row (r : Simlab.result) =
+  ( r.events, r.activations, r.deliveries, r.lost, r.duplicated,
+    r.crash_windows, r.metric, r.label_hash )
+
+(* (instance, seed) -> golden_row, recorded from the heap-based event
+   queue. *)
+let golden_table =
+  [
+    ("ring exp:0.7 clean seed 1",
+     (57796, 20232, 37564, 0, 0, 0, 216, 0x3430106eea879d28));
+    ("ring exp:0.7 clean seed 2",
+     (56926, 19920, 37006, 0, 0, 0, 211, 0x2ee16860289d420d));
+    ("ring exp:0.7 faulty seed 1",
+     (55801, 20232, 35569, 2036, 761, 221, 214, 0x1c8248add80767bf));
+    ("ring exp:0.7 faulty seed 2",
+     (55129, 19920, 35209, 1998, 762, 193, 211, 0x2ee16860289d420d));
+    ("ring uniform:0.1:1.5 clean seed 1",
+     (57435, 20232, 37203, 0, 0, 0, 212, 0x1f13d16f8b9f0b7c));
+    ("ring uniform:0.1:1.5 clean seed 2",
+     (56551, 19920, 36631, 0, 0, 0, 212, 0x4c5f686490d473d));
+    ("ring uniform:0.1:1.5 faulty seed 1",
+     (55424, 20232, 35192, 2036, 761, 221, 210, 0x199b270280f7af4));
+    ("ring uniform:0.1:1.5 faulty seed 2",
+     (54801, 19920, 34881, 1998, 762, 193, 212, 0x4c5f686490d473d));
+    ("ring uniform:0:0 clean seed 1",
+     (60696, 20232, 40464, 0, 0, 0, 219, 0x2721b8f72e426116));
+    ("ring uniform:0:0 clean seed 2",
+     (59760, 19920, 39840, 0, 0, 0, 215, 0x15b67c3c5adde47));
+    ("ring uniform:0:0 faulty seed 1",
+     (58521, 20232, 38289, 2036, 761, 221, 216, 0x12c450a3e816545d));
+    ("ring uniform:0:0 faulty seed 2",
+     (57848, 19920, 37928, 1998, 762, 193, 215, 0x15b67c3c5adde47));
+    ("ring pareto:0.8:0.1 clean seed 1",
+     (57282, 20232, 37050, 0, 0, 0, 214, 0x21d26da061029bd1));
+    ("ring pareto:0.8:0.1 clean seed 2",
+     (56310, 19920, 36390, 0, 0, 0, 212, 0x2cad28fe7ce9d3dd));
+    ("ring pareto:0.8:0.1 faulty seed 1",
+     (55272, 20232, 35040, 2036, 761, 221, 213, 0x387e391bb063754));
+    ("ring pareto:0.8:0.1 faulty seed 2",
+     (54517, 19920, 34597, 1998, 762, 193, 212, 0x2cad28fe7ce9d3dd));
+    ("er:4 exp:0.7 clean seed 1",
+     (95879, 20232, 75647, 0, 0, 0, 1615, 0x34369b4ad423bc62));
+    ("er:4 exp:0.7 clean seed 2",
+     (94341, 19920, 74421, 0, 0, 0, 1704, 0x1d113714020bc306));
+    ("er:4 exp:0.7 faulty seed 1",
+     (92057, 20232, 71825, 4173, 1558, 186, 1588, 0x22bdf65c1344ab0a));
+    ("er:4 exp:0.7 faulty seed 2",
+     (90604, 19920, 70684, 3935, 1428, 202, 1627, 0x12d3f42a6046ee1d));
+    ("er:4 uniform:0.1:1.5 clean seed 1",
+     (95106, 20232, 74874, 0, 0, 0, 1597, 0x1a8ca995868d0bb6));
+    ("er:4 uniform:0.1:1.5 clean seed 2",
+     (93610, 19920, 73690, 0, 0, 0, 1553, 0x1a9da634bbcfd1c4));
+    ("er:4 uniform:0.1:1.5 faulty seed 1",
+     (91335, 20232, 71103, 4173, 1558, 186, 1378, 0x2c15b2cd430b043a));
+    ("er:4 uniform:0.1:1.5 faulty seed 2",
+     (89886, 19920, 69966, 3935, 1428, 202, 1471, 0x3e12902783b7c4df));
+    ("er:4 uniform:0:0 clean seed 1",
+     (101718, 20232, 81486, 0, 0, 0, 1926, 0x24fcade4a7ad3a61));
+    ("er:4 uniform:0:0 clean seed 2",
+     (99982, 19920, 80062, 0, 0, 0, 1927, 0x39faf90a1216233e));
+    ("er:4 uniform:0:0 faulty seed 1",
+     (97544, 20232, 77312, 4173, 1558, 186, 1919, 0x36ac3c26173ff85e));
+    ("er:4 uniform:0:0 faulty seed 2",
+     (95967, 19920, 76047, 3935, 1428, 202, 1923, 0xd1fab38e6ca2154));
+    ("er:4 pareto:0.8:0.1 clean seed 1",
+     (94740, 20232, 74508, 0, 0, 0, 1787, 0xae18392bc4c214e));
+    ("er:4 pareto:0.8:0.1 clean seed 2",
+     (93074, 19920, 73154, 0, 0, 0, 1814, 0x15700f652e755add));
+    ("er:4 pareto:0.8:0.1 faulty seed 1",
+     (90853, 20232, 70621, 4173, 1558, 186, 1747, 0x3a06348b6836356d));
+    ("er:4 pareto:0.8:0.1 faulty seed 2",
+     (89393, 19920, 69473, 3935, 1428, 202, 1742, 0x37c1c1e3fce1d077));
+  ]
+
+let test_async_goldens () =
+  List.iter
+    (fun (name, (inst : Simlab.instance)) ->
+      List.iter
+        (fun seed ->
+          let r = inst.run ~seed ~horizon:golden_horizon in
+          let key = Printf.sprintf "%s seed %d" name seed in
+          Alcotest.(check bool) (key ^ " matches golden") true
+            (List.assoc_opt key golden_table = Some (golden_row r));
+          let polled =
+            inst.run_poll ~poll:ignore ~seed ~horizon:golden_horizon
+          in
+          Alcotest.(check bool) (key ^ " run_poll = run") true (polled = r))
+        [ 1; 2 ])
+    (golden_instances ())
+
+(* ------------------------------------------------------------------ *)
 (* Faults as latency special cases                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -276,6 +407,8 @@ let () =
             test_async_deterministic;
           Alcotest.test_case "identical across domains" `Quick
             test_async_identical_across_domains;
+          Alcotest.test_case "golden async trajectories" `Quick
+            test_async_goldens;
         ] );
       ( "faults",
         [
