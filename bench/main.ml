@@ -846,7 +846,7 @@ let run_sim_bench () =
   (* Cross-domain determinism: the same campaign sharded over one domain
      and over PARRUN_DOMAINS must produce identical result arrays (CI's
      grep for "identical": false watches this flag). Losses, duplicates
-     and heap-path latencies are all in play so every RNG stream is
+     and variable latencies are all in play so every RNG stream is
      exercised. *)
   let det_inst =
     Simlab.build contagion Simlab.Ring ~graph_seed:42 ~nodes:2_000 ~rate:1.0

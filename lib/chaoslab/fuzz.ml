@@ -129,6 +129,33 @@ let traj_eventsim p ~input ~init ~steps =
   done;
   out
 
+(* A fresh asynchronous simulator for [s]. The latency shape, activation
+   rate and crash rate come from the scenario seed; loss and duplication
+   are the scenario's channel rates. *)
+let async_eventsim s p ~input ~init =
+  let st = Random.State.make [| 0xa5e7; s.seed |] in
+  let f () = Random.State.float st 1.0 in
+  let latency =
+    match Random.State.int st 4 with
+    | 0 -> Eventsim.Const (f ())
+    | 1 ->
+        let lo = f () in
+        Eventsim.Uniform (lo, if Random.State.bool st then lo else lo +. f ())
+    | 2 -> Eventsim.Exp (0.05 +. f ())
+    | _ -> Eventsim.Pareto (0.5 +. (2.0 *. f ()), 0.05 +. f ())
+  in
+  let rate = 0.5 +. (2.0 *. f ()) in
+  let crash = if Random.State.bool st then 0.0 else 0.2 *. f () in
+  let faults =
+    { Eventsim.loss = s.loss; dup = s.dup; crash; crash_len = 2.0 *. f () }
+  in
+  Eventsim.create ~rate ~latency ~faults ~seed:s.seed p ~input ~init
+
+(* Labels, outputs and every counter. *)
+let snapshot sim =
+  (Array.copy (Eventsim.labels sim), Array.copy (Eventsim.outputs sim),
+   Eventsim.stats sim)
+
 (* The deliberately broken steppers used to validate the fuzzer. Both
    are classic engine bugs:
    - [Stale_read] serializes the activation set: later nodes react to
@@ -209,6 +236,38 @@ let check_counted ?mutant (s : scenario) : int * divergence option =
         ("mutant:" ^ mutant_name m)
         (fun () -> traj_mutant m p ~input ~init ~schedule ~steps)
   | None -> ());
+  (* The asynchronous simulator run through random horizon cuts against
+     the same seed run to each cut in one call: applying every delivery
+     due at a cut must leave the trajectory unchanged. Transient label
+     errors can wash out of a stabilizing run, so every cut is compared,
+     not only the last. *)
+  if !found = None then begin
+    incr pairs;
+    let horizon = float_of_int s.steps in
+    let st = Random.State.make [| 0xc075; s.seed |] in
+    let cuts =
+      List.sort compare
+        (List.init (4 * s.steps) (fun _ -> Random.State.float st horizon))
+    in
+    let cut = async_eventsim s p ~input ~init in
+    found :=
+      List.find_map
+        (fun h ->
+          ignore (Eventsim.run cut ~horizon:h);
+          let whole = async_eventsim s p ~input ~init in
+          ignore (Eventsim.run whole ~horizon:h);
+          if snapshot whole = snapshot cut then None
+          else
+            Some
+              {
+                scenario = s;
+                pair = ("eventsim-async", "eventsim-cut");
+                step = 0;
+                detail =
+                  Printf.sprintf "horizon cuts change the async run at %g" h;
+              })
+        (cuts @ [ horizon ])
+  end;
   (* One channel adversary over both reaction engines, under the
      scenario's fault budget. The pair keeps its historical name. *)
   if !found = None then begin

@@ -9,6 +9,10 @@
     - boxed {!Stateless_core.Engine} (the reference) against the packed
       {!Stateless_core.Kernel} and — on synchronous schedules —
       {!Stateless_core.Eventsim} in its synchronous anchor mode;
+    - the asynchronous {!Stateless_core.Eventsim} (latency shape, rate
+      and crash rate drawn from the scenario seed, the scenario's
+      loss/duplication rates) run through [4 * steps] random horizon
+      cuts, against the same seed run to each cut in one call;
     - one channel adversary run over both reaction engines
       ([Netlab.Reference] against [Netlab.Packed]) under the scenario's
       loss/duplication rates and adversary budget;

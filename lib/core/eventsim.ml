@@ -21,20 +21,23 @@ type stats = {
   pending : int;
 }
 
-(* Event storage is split by kind so that each structure only ever holds
-   one priority class and the delivery-before-activation tie-break lives
-   in a single top-level comparison in the run loop:
+(* Event storage, by what the run loop needs to see:
 
-   - the async merged activation clock is one scalar ([next_act], a
-     1-cell float array so stores stay unboxed) — never a heap entry;
+   - the async merged activation clock is one scalar ([clock], a 1-cell
+     float array so stores stay unboxed); sync mode keeps the time of its
+     next wave there instead — every node activates at every integer
+     time, swept in node order;
    - constant-latency deliveries (including sync mode's unit latency) are
      pushed at activation times, which the run loop visits in
      nondecreasing order, so their times are already sorted: a FIFO ring
-     buffer replaces the priority queue outright;
-   - variable-latency deliveries go to a 4-ary min-heap ordered by time
-     alone — no tie-break branches in the sift loops;
-   - sync mode's per-node clocks reuse the same heap (it then holds only
-     activations, again time-only ordering). *)
+     buffer, drained up to each activation time;
+   - variable-latency messages are never ordered at all. A node reacts
+     only to the latest label on each in-edge, so a message's arrival is
+     observable only by its receiver's next activation (or by a caller
+     reading labels between [run] calls). Each message is prepended to
+     its edge's in-flight list; before a node reacts, each in-edge is
+     resolved at the activation time, and [run] resolves every edge at
+     the horizon before it returns (see [resolve]). *)
 type ('x, 'l) t = {
   kernel : ('x, 'l) Kernel.t;
   graph : Digraph.t;
@@ -44,10 +47,14 @@ type ('x, 'l) t = {
   node_outputs : int array;
   rate : float;
   latency : latency;
-  faults : faults;
   sync : bool;
   is_const : bool; (* latency is Const: deliveries take the FIFO *)
   const_lat : float; (* the Const latency when [is_const] *)
+  (* Fault probabilities as thresholds on a draw's 52 integer bits. *)
+  loss_thr : int;
+  dup_thr : int;
+  crash_thr : int;
+  crash_len : float;
   rng_base : int;
   (* Per-stream draw counters: a draw is a pure function of
      (seed, stream, counter), so the trajectory is independent of anything
@@ -58,21 +65,25 @@ type ('x, 'l) t = {
   lat_ctr : int array; (* per edge: latency draws *)
   coin_ctr : int array; (* per edge: loss/dup coins *)
   crashed_until : float array;
-  next_act : float array; (* async merged clock; 1 cell, unboxed stores *)
-  (* 4-ary min-heap as three parallel flat arrays, ordered by time only.
-     Async: (time, edge, code) deliveries. Sync: (time, node, 0) clocks. *)
-  mutable htime : float array;
-  mutable hea : int array;
-  mutable hcode : int array;
-  mutable hn : int;
-  mutable sift : int; (* sift-loop cursor scratch: avoids a ref per op *)
+  clock : float array; (* async: next activation; sync: next wave *)
+  at : float array; (* time of the activation or resolution under way *)
   (* Constant-latency delivery FIFO: ring buffer, capacity a power of
-     two, [fhead]/[ftail] monotone counters masked on access. *)
+     two, [fhead]/[ftail] monotone counters masked on access. Empty
+     arrays for variable latency. *)
   mutable ft : float array;
   mutable fe : int array;
   mutable fc : int array;
   mutable fhead : int;
   mutable ftail : int;
+  (* Variable latency: per-edge in-flight lists threaded through a slot
+     pool ([snext] links a list, or the free list from [free]). All
+     empty for constant latency. *)
+  head : int array; (* per edge: newest in-flight slot, or -1 *)
+  mutable snext : int array;
+  mutable stime : float array; (* arrival time *)
+  mutable scode : int array;
+  mutable free : int;
+  mutable inflight : int;
   mutable now : float;
   mutable events : int;
   mutable activations : int;
@@ -91,11 +102,19 @@ let mix63 x =
   let x = (x lxor (x lsr 27)) * 0x1F123BB5159A55E5 land max_int in
   x lxor (x lsr 31)
 
-(* Uniform on (0, 1] from the top 52 of the mix's 62 value bits (OCaml's
-   [max_int] is 2^62 - 1) — never 0, so log u is finite. *)
-let u_of r = float_of_int ((r lsr 10) + 1) *. 0x1p-52
+(* A draw's top 52 of the mix's 62 value bits (OCaml's [max_int] is
+   2^62 - 1), as an integer k in [1, 2^52]; the uniform variate is
+   u = k * 2^-52 on (0, 1] — never 0, so log u is finite. Draws stay ints
+   until the float is consumed in place: without flambda a float returned
+   from a call is boxed. *)
+let draw t ~stream ~ctr =
+  (mix63 (mix63 (t.rng_base + stream) + ctr) lsr 10) + 1
 
-let draw t ~stream ~ctr = u_of (mix63 (mix63 (t.rng_base + stream) + ctr))
+let u_of k = float_of_int k *. 0x1p-52
+
+(* [u < p] exactly when [k < ceil (p * 2^52)] (k is an integer and the
+   scaling by 2^52 is exact), so a fault coin compares ints. *)
+let threshold p = if p > 0.0 then int_of_float (Float.ceil (p *. 0x1p52)) else 0
 
 (* Stream ids: tag * (n + m) + idx, with nodes at idx in [0, n) and edges
    at idx in [n, n + m). Async activations use only node streams 0 and 1:
@@ -103,193 +122,30 @@ let draw t ~stream ~ctr = u_of (mix63 (mix63 (t.rng_base + stream) + ctr))
    superposition — one merged Exp(n * rate) gap stream plus a uniform node
    pick — which is the same stochastic process with n times fewer pending
    events. *)
-let draw_global_gap t =
+let advance_clock t =
   let c = t.gap_ctr in
   t.gap_ctr <- c + 1;
-  let u = draw t ~stream:0 ~ctr:c in
-  -.log u /. (t.rate *. float_of_int t.n)
+  let u = u_of (draw t ~stream:0 ~ctr:c) in
+  Array.unsafe_set t.clock 0
+    (Array.unsafe_get t.clock 0 -. (log u /. (t.rate *. float_of_int t.n)))
 
 let draw_node_pick t =
   let c = t.pick_ctr in
   t.pick_ctr <- c + 1;
-  let u = draw t ~stream:1 ~ctr:c in
+  let u = u_of (draw t ~stream:1 ~ctr:c) in
   (* u is on (0, 1], so clamp the u = 1 endpoint. *)
   let i = int_of_float (u *. float_of_int t.n) in
   if i >= t.n then t.n - 1 else i
 
-let draw_crash_coin t i =
+let crash_coin t i =
   let c = t.crash_ctr.(i) in
   t.crash_ctr.(i) <- c + 1;
   draw t ~stream:(t.nm + i) ~ctr:c
 
-let draw_coin t e =
+let edge_coin t e =
   let c = t.coin_ctr.(e) in
   t.coin_ctr.(e) <- c + 1;
   draw t ~stream:((3 * t.nm) + t.n + e) ~ctr:c
-
-let draw_latency t e =
-  match t.latency with
-  | Const c -> c
-  | _ ->
-      let c = t.lat_ctr.(e) in
-      t.lat_ctr.(e) <- c + 1;
-      let u = draw t ~stream:((2 * t.nm) + t.n + e) ~ctr:c in
-      (match t.latency with
-      | Const c -> c
-      | Uniform (lo, hi) -> lo +. (u *. (hi -. lo))
-      | Exp mean -> -.mean *. log u
-      | Pareto (alpha, xmin) -> xmin *. (u ** (-1.0 /. alpha)))
-
-let ensure_capacity t =
-  let cap = Array.length t.htime in
-  if t.hn = cap then begin
-    let cap' = 2 * cap in
-    let ht = Array.make cap' 0.0 in
-    let he = Array.make cap' 0 in
-    let hc = Array.make cap' 0 in
-    Array.blit t.htime 0 ht 0 cap;
-    Array.blit t.hea 0 he 0 cap;
-    Array.blit t.hcode 0 hc 0 cap;
-    t.htime <- ht;
-    t.hea <- he;
-    t.hcode <- hc
-  end
-
-(* The heap is 4-ary: at the pending counts the simulator sustains
-   (tens of thousands of in-flight messages) sift depth — and with it the
-   number of distinct cache lines a pop touches — halves versus a binary
-   heap, and the four children of a node share cache lines in each of the
-   three parallel arrays.
-
-   The sift loops are written with only shadowed immutable locals and the
-   [t.sift] cursor field, comparisons inline: without flambda, a float
-   crossing any call boundary (comparison helper, recursive self-call) is
-   re-boxed per heap level, and even a local [ref] allocates its cell per
-   operation — this form is the one the compiler keeps entirely
-   allocation-free, which matters at ~10^7 heap ops per simulated
-   second. For the same reason the sift-down loop appears twice below
-   (drop and replace-root) instead of being shared through a helper:
-   sharing was measured 20% slower end-to-end. *)
-
-let heap_push t time ea code =
-  ensure_capacity t;
-  let ht = t.htime and he = t.hea and hc = t.hcode in
-  let n = t.hn in
-  t.hn <- n + 1;
-  t.sift <- n;
-  while
-    let i = t.sift in
-    i > 0
-    &&
-    let p = (i - 1) / 4 in
-    let tp = Array.unsafe_get ht p in
-    time < tp
-    &&
-    (Array.unsafe_set ht i tp;
-     Array.unsafe_set he i (Array.unsafe_get he p);
-     Array.unsafe_set hc i (Array.unsafe_get hc p);
-     t.sift <- p;
-     true)
-  do
-    ()
-  done;
-  let i = t.sift in
-  Array.unsafe_set ht i time;
-  Array.unsafe_set he i ea;
-  Array.unsafe_set hc i code
-
-(* Remove the root; the caller has already read it. *)
-let heap_drop t =
-  let last = t.hn - 1 in
-  t.hn <- last;
-  if last > 0 then begin
-    let ht = t.htime and he = t.hea and hc = t.hcode in
-    let time = Array.unsafe_get ht last in
-    let ea = Array.unsafe_get he last in
-    let code = Array.unsafe_get hc last in
-    t.sift <- 0;
-    while
-      let i = t.sift in
-      let l = (4 * i) + 1 in
-      l < last
-      &&
-      (* Earliest child among l .. min (l+3) (last-1); the shadowing
-         chain keeps everything in registers. *)
-      let c = l in
-      let c =
-        let j = l + 1 in
-        if j < last && Array.unsafe_get ht j < Array.unsafe_get ht c then j
-        else c
-      in
-      let c =
-        let j = l + 2 in
-        if j < last && Array.unsafe_get ht j < Array.unsafe_get ht c then j
-        else c
-      in
-      let c =
-        let j = l + 3 in
-        if j < last && Array.unsafe_get ht j < Array.unsafe_get ht c then j
-        else c
-      in
-      let tc = Array.unsafe_get ht c in
-      tc < time
-      &&
-      (Array.unsafe_set ht i tc;
-       Array.unsafe_set he i (Array.unsafe_get he c);
-       Array.unsafe_set hc i (Array.unsafe_get hc c);
-       t.sift <- c;
-       true)
-    do
-      ()
-    done;
-    let i = t.sift in
-    Array.unsafe_set ht i time;
-    Array.unsafe_set he i ea;
-    Array.unsafe_set hc i code
-  end
-
-(* Replace the root with (time, ea, code) without detaching it first —
-   the sync clock re-arm, one whole tick above the popped root. *)
-let heap_replace_root t time ea code =
-  let last = t.hn in
-  let ht = t.htime and he = t.hea and hc = t.hcode in
-  t.sift <- 0;
-  while
-    let i = t.sift in
-    let l = (4 * i) + 1 in
-    l < last
-    &&
-    let c = l in
-    let c =
-      let j = l + 1 in
-      if j < last && Array.unsafe_get ht j < Array.unsafe_get ht c then j
-      else c
-    in
-    let c =
-      let j = l + 2 in
-      if j < last && Array.unsafe_get ht j < Array.unsafe_get ht c then j
-      else c
-    in
-    let c =
-      let j = l + 3 in
-      if j < last && Array.unsafe_get ht j < Array.unsafe_get ht c then j
-      else c
-    in
-    let tc = Array.unsafe_get ht c in
-    tc < time
-    &&
-    (Array.unsafe_set ht i tc;
-     Array.unsafe_set he i (Array.unsafe_get he c);
-     Array.unsafe_set hc i (Array.unsafe_get hc c);
-     t.sift <- c;
-     true)
-  do
-    ()
-  done;
-  let i = t.sift in
-  Array.unsafe_set ht i time;
-  Array.unsafe_set he i ea;
-  Array.unsafe_set hc i code
 
 (* FIFO growth: double (capacity stays a power of two) and unwrap the
    live window to the front of the new arrays. *)
@@ -312,6 +168,103 @@ let fifo_grow t =
   t.fc <- fc;
   t.fhead <- 0;
   t.ftail <- len
+
+(* Slot-pool growth: double and chain the new slots onto the free list. *)
+let pool_grow t =
+  let cap = Array.length t.snext in
+  let cap' = max 1024 (2 * cap) in
+  let grow a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.snext <- grow t.snext (-1);
+  t.stime <- grow t.stime 0.0;
+  t.scode <- grow t.scode 0;
+  for s = cap to cap' - 2 do
+    t.snext.(s) <- s + 1
+  done;
+  t.free <- cap
+
+(* Send [code] along edge [e] at time [t.at]: a FIFO append for constant
+   latency, otherwise a latency draw and a push onto [e]'s in-flight
+   list. *)
+let send t e code =
+  if t.is_const then begin
+    if t.ftail - t.fhead = Array.length t.ft then fifo_grow t;
+    let p = t.ftail land (Array.length t.ft - 1) in
+    t.ftail <- t.ftail + 1;
+    Array.unsafe_set t.ft p (Array.unsafe_get t.at 0 +. t.const_lat);
+    Array.unsafe_set t.fe p e;
+    Array.unsafe_set t.fc p code
+  end
+  else begin
+    let c = t.lat_ctr.(e) in
+    t.lat_ctr.(e) <- c + 1;
+    let u = u_of (draw t ~stream:((2 * t.nm) + t.n + e) ~ctr:c) in
+    let lat =
+      match t.latency with
+      | Const c -> c
+      | Uniform (lo, hi) -> lo +. (u *. (hi -. lo))
+      | Exp mean -> -.mean *. log u
+      | Pareto (alpha, xmin) -> xmin *. (u ** (-1.0 /. alpha))
+    in
+    if t.free < 0 then pool_grow t;
+    let s = t.free in
+    t.free <- Array.unsafe_get t.snext s;
+    Array.unsafe_set t.stime s (Array.unsafe_get t.at 0 +. lat);
+    Array.unsafe_set t.scode s code;
+    Array.unsafe_set t.snext s (Array.unsafe_get t.head e);
+    Array.unsafe_set t.head e s;
+    t.inflight <- t.inflight + 1
+  end
+
+(* Deliver every FIFO message that has arrived by [t.at]. *)
+let drain_fifo t =
+  while
+    t.fhead <> t.ftail
+    && Array.unsafe_get t.ft (t.fhead land (Array.length t.ft - 1))
+       <= Array.unsafe_get t.at 0
+  do
+    let p = t.fhead land (Array.length t.ft - 1) in
+    t.fhead <- t.fhead + 1;
+    t.events <- t.events + 1;
+    t.deliveries <- t.deliveries + 1;
+    t.delivered.(Array.unsafe_get t.fe p) <- Array.unsafe_get t.fc p
+  done
+
+(* Resolve edge [e] at time [t.at]: every in-flight message that has
+   arrived by then is a delivery, and the edge takes the code of the
+   latest arrival. This equals delivering the messages one by one in time
+   order, because every message on the list was sent after the edge's
+   previous resolution, so none arrives before a label the edge already
+   applied. Two arrivals at the same time are, barring float
+   coincidences, the two copies of one duplicated message, so which of
+   them wins does not matter. *)
+let resolve t e =
+  let snext = t.snext and stime = t.stime in
+  let s = ref (Array.unsafe_get t.head e) in
+  let prev = ref (-1) and best = ref (-1) in
+  while !s >= 0 do
+    let cur = !s in
+    let nx = Array.unsafe_get snext cur in
+    if Array.unsafe_get stime cur <= Array.unsafe_get t.at 0 then begin
+      if
+        !best < 0
+        || Array.unsafe_get stime cur > Array.unsafe_get stime !best
+      then best := cur;
+      if !prev < 0 then Array.unsafe_set t.head e nx
+      else Array.unsafe_set snext !prev nx;
+      Array.unsafe_set snext cur t.free;
+      t.free <- cur;
+      t.inflight <- t.inflight - 1;
+      t.events <- t.events + 1;
+      t.deliveries <- t.deliveries + 1
+    end
+    else prev := cur;
+    s := nx
+  done;
+  if !best >= 0 then t.delivered.(e) <- Array.unsafe_get t.scode !best
 
 let check_latency = function
   | Const c -> if c < 0.0 then invalid_arg "Eventsim: negative Const latency"
@@ -347,9 +300,9 @@ let create ?max_table_words ?max_memo_entries ?(rate = 1.0)
   let delivered = Array.make m 0 in
   let node_outputs = Array.make n 0 in
   Kernel.load kernel init ~labels:delivered ~outputs:node_outputs;
-  (* Sync keeps the n per-node clocks in the heap; async only queues
-     in-flight messages there (amortized doubling tracks the load). *)
-  let cap = if sync then max 16 n else 1024 in
+  let is_const = match latency with Const _ -> true | _ -> false in
+  (* Each run allocates the delivery structure of its latency shape only. *)
+  let fifo_cap = if is_const then 1024 else 0 in
   let t =
     {
       kernel;
@@ -360,10 +313,13 @@ let create ?max_table_words ?max_memo_entries ?(rate = 1.0)
       node_outputs;
       rate;
       latency;
-      faults;
       sync;
-      is_const = (match latency with Const _ -> true | _ -> false);
+      is_const;
       const_lat = (match latency with Const c -> c | _ -> 0.0);
+      loss_thr = threshold faults.loss;
+      dup_thr = threshold faults.dup;
+      crash_thr = threshold faults.crash;
+      crash_len = faults.crash_len;
       rng_base = mix63 seed;
       gap_ctr = 0;
       pick_ctr = 0;
@@ -371,17 +327,19 @@ let create ?max_table_words ?max_memo_entries ?(rate = 1.0)
       lat_ctr = Array.make m 0;
       coin_ctr = Array.make m 0;
       crashed_until = Array.make n 0.0;
-      next_act = Array.make 1 infinity;
-      htime = Array.make cap 0.0;
-      hea = Array.make cap 0;
-      hcode = Array.make cap 0;
-      hn = 0;
-      sift = 0;
-      ft = Array.make 1024 0.0;
-      fe = Array.make 1024 0;
-      fc = Array.make 1024 0;
+      clock = Array.make 1 0.0;
+      at = Array.make 1 0.0;
+      ft = Array.make fifo_cap 0.0;
+      fe = Array.make fifo_cap 0;
+      fc = Array.make fifo_cap 0;
       fhead = 0;
       ftail = 0;
+      head = (if is_const then [||] else Array.make m (-1));
+      snext = [||];
+      stime = [||];
+      scode = [||];
+      free = -1;
+      inflight = 0;
       now = 0.0;
       events = 0;
       activations = 0;
@@ -391,59 +349,43 @@ let create ?max_table_words ?max_memo_entries ?(rate = 1.0)
       crash_windows = 0;
     }
   in
-  if sync then
-    for i = 0 to n - 1 do
-      heap_push t 0.0 i 0
-    done
-  else t.next_act.(0) <- draw_global_gap t;
+  if not sync then advance_clock t;
   t
 
-(* React node [i] at [now]: the reaction body shared by both modes. The
-   FIFO append is inlined (a push helper would box the delivery time). *)
-let react t i now =
+(* Activate node [i] at [t.at]: resolve its in-edges, then react unless
+   a crash window suppresses it. *)
+let activate t i =
+  t.events <- t.events + 1;
+  t.activations <- t.activations + 1;
+  let now = Array.unsafe_get t.at 0 in
   if now >= t.crashed_until.(i) then begin
-    let crashed =
-      t.faults.crash > 0.0 && draw_crash_coin t i < t.faults.crash
-    in
-    if crashed then begin
-      t.crashed_until.(i) <- now +. t.faults.crash_len;
+    if t.crash_thr > 0 && crash_coin t i < t.crash_thr then begin
+      t.crashed_until.(i) <- now +. t.crash_len;
       t.crash_windows <- t.crash_windows + 1
     end
     else begin
-      let row, base = Kernel.eval_row t.kernel ~src:t.delivered ~i in
+      if not t.is_const then begin
+        let ies = Digraph.in_edges t.graph i in
+        for k = 0 to Array.length ies - 1 do
+          let e = Array.unsafe_get ies k in
+          if Array.unsafe_get t.head e >= 0 then resolve t e
+        done
+      end;
+      let row = Kernel.row_array t.kernel i in
+      let base = Kernel.row_offset t.kernel ~src:t.delivered ~i row in
       let oes = Digraph.out_edges t.graph i in
       let d = Array.length oes in
       t.node_outputs.(i) <- row.(base + d);
       for k = 0 to d - 1 do
         let e = Array.unsafe_get oes k in
         let code = Array.unsafe_get row (base + k) in
-        if t.faults.loss > 0.0 && draw_coin t e < t.faults.loss then
+        if t.loss_thr > 0 && edge_coin t e < t.loss_thr then
           t.lost <- t.lost + 1
         else begin
-          let dup = t.faults.dup > 0.0 && draw_coin t e < t.faults.dup in
-          if dup then t.duplicated <- t.duplicated + 1;
-          if t.is_const then begin
-            (* Constant latency: arrival order is push order. *)
-            if t.ftail - t.fhead = Array.length t.ft then fifo_grow t;
-            let mask = Array.length t.ft - 1 in
-            let p = t.ftail land mask in
-            t.ftail <- t.ftail + 1;
-            Array.unsafe_set t.ft p (now +. t.const_lat);
-            Array.unsafe_set t.fe p e;
-            Array.unsafe_set t.fc p code;
-            if dup then begin
-              if t.ftail - t.fhead = Array.length t.ft then fifo_grow t;
-              let mask = Array.length t.ft - 1 in
-              let p = t.ftail land mask in
-              t.ftail <- t.ftail + 1;
-              Array.unsafe_set t.ft p (now +. t.const_lat);
-              Array.unsafe_set t.fe p e;
-              Array.unsafe_set t.fc p code
-            end
-          end
-          else begin
-            heap_push t (now +. draw_latency t e) e code;
-            if dup then heap_push t (now +. draw_latency t e) e code
+          send t e code;
+          if t.dup_thr > 0 && edge_coin t e < t.dup_thr then begin
+            t.duplicated <- t.duplicated + 1;
+            send t e code
           end
         end
       done
@@ -459,104 +401,44 @@ let stats t =
     duplicated = t.duplicated;
     crash_windows = t.crash_windows;
     time = t.now;
-    pending = t.hn + (t.ftail - t.fhead) + (if t.sync then 0 else 1);
+    pending = t.inflight + (t.ftail - t.fhead) + (if t.sync then t.n else 1);
   }
 
-(* Strict event priority in both run loops: earlier time first; at equal
-   times deliveries before activations (the [<=] in the delivery guard).
-   The tie-break is what makes the synchronous anchor exact — the
-   activation wave at an integer time must observe every label delivered
-   at that same time. A delivery exactly at the horizon is processed, an
-   activation is not: [run ~horizon:k] on the sync anchor leaves the
-   labels after exactly k synchronous steps.
+(* Events are processed in time order; at equal times deliveries come
+   before activations, so each activation first drains the FIFO up to its
+   own time (in-flight lists are resolved inside [activate]). That
+   tie-break is what makes the synchronous anchor exact — the wave at
+   integer time k observes every label delivered at k. A delivery exactly
+   at the horizon is applied, an activation is not: [run ~horizon:k] on
+   the sync anchor leaves the labels after exactly k synchronous steps,
+   and cutting a run at any horizon leaves the trajectory unchanged.
 
    [t.now] is only read between run calls; assigning it per event would
    box a float per event — it is parked at [horizon] on exit. *)
-
-let run_sync t ~horizon =
-  let continue = ref true in
-  while !continue do
-    (* The clock heap always holds all n per-node clocks. *)
-    let at = Array.unsafe_get t.htime 0 in
-    let has_d = t.fhead <> t.ftail in
-    if
-      has_d
-      &&
-      let dt =
-        Array.unsafe_get t.ft (t.fhead land (Array.length t.ft - 1))
-      in
-      dt <= at && dt <= horizon
-    then begin
-      let p = t.fhead land (Array.length t.ft - 1) in
-      t.fhead <- t.fhead + 1;
-      t.events <- t.events + 1;
-      t.deliveries <- t.deliveries + 1;
-      t.delivered.(Array.unsafe_get t.fe p) <- Array.unsafe_get t.fc p
-    end
-    else if at < horizon then begin
-      t.events <- t.events + 1;
-      t.activations <- t.activations + 1;
-      let i = Array.unsafe_get t.hea 0 in
-      (* Re-arm the clock by replacing the root in place. *)
-      heap_replace_root t (at +. 1.0) i 0;
-      react t i at
-    end
-    else continue := false
-  done
-
-let run_async t ~horizon =
-  let continue = ref true in
-  while !continue do
-    let na = Array.unsafe_get t.next_act 0 in
-    if t.is_const then begin
-      let has_d = t.fhead <> t.ftail in
-      if
-        has_d
-        &&
-        let dt =
-          Array.unsafe_get t.ft (t.fhead land (Array.length t.ft - 1))
-        in
-        dt <= na && dt <= horizon
-      then begin
-        let p = t.fhead land (Array.length t.ft - 1) in
-        t.fhead <- t.fhead + 1;
-        t.events <- t.events + 1;
-        t.deliveries <- t.deliveries + 1;
-        t.delivered.(Array.unsafe_get t.fe p) <- Array.unsafe_get t.fc p
-      end
-      else if na < horizon then begin
-        t.events <- t.events + 1;
-        t.activations <- t.activations + 1;
-        Array.unsafe_set t.next_act 0 (na +. draw_global_gap t);
-        react t (draw_node_pick t) na
-      end
-      else continue := false
-    end
-    else if
-      t.hn > 0
-      &&
-      let dt = Array.unsafe_get t.htime 0 in
-      dt <= na && dt <= horizon
-    then begin
-      let e = Array.unsafe_get t.hea 0 in
-      let code = Array.unsafe_get t.hcode 0 in
-      heap_drop t;
-      t.events <- t.events + 1;
-      t.deliveries <- t.deliveries + 1;
-      t.delivered.(e) <- code
-    end
-    else if na < horizon then begin
-      t.events <- t.events + 1;
-      t.activations <- t.activations + 1;
-      Array.unsafe_set t.next_act 0 (na +. draw_global_gap t);
-      react t (draw_node_pick t) na
-    end
-    else continue := false
-  done
-
 let run t ~horizon =
   if horizon < t.now then invalid_arg "Eventsim.run: horizon before now";
-  if t.sync then run_sync t ~horizon else run_async t ~horizon;
+  while Array.unsafe_get t.clock 0 < horizon do
+    Array.unsafe_set t.at 0 (Array.unsafe_get t.clock 0);
+    drain_fifo t;
+    if t.sync then begin
+      (* Order within a wave is free: every node reads the labels of the
+         previous wave, and its messages arrive one tick later. *)
+      for i = 0 to t.n - 1 do
+        activate t i
+      done;
+      Array.unsafe_set t.clock 0 (Array.unsafe_get t.clock 0 +. 1.0)
+    end
+    else begin
+      advance_clock t;
+      activate t (draw_node_pick t)
+    end
+  done;
+  Array.unsafe_set t.at 0 horizon;
+  drain_fifo t;
+  if t.inflight > 0 then
+    for e = 0 to Array.length t.head - 1 do
+      if Array.unsafe_get t.head e >= 0 then resolve t e
+    done;
   t.now <- horizon;
   stats t
 

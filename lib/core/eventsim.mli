@@ -4,28 +4,39 @@
     step at a time. This module simulates the same protocols in continuous
     time: each node carries an exponential activation clock (a Poisson clock
     of configurable rate) and each edge a latency distribution, and the
-    simulation advances by processing the earliest pending event. An
-    {b activation} of node [i] reads the last-delivered label code of every
-    in-edge, evaluates [i]'s reaction through the packed kernel's compiled
-    tier ({!Kernel.eval_row} — table, memo or raw), records the output, and
-    schedules one {b delivery} per out-edge at [now + draw(latency)]; a
-    delivery simply overwrites its edge's last-delivered slot.
+    simulation advances activation by activation. An {b activation} of node
+    [i] reads the last-delivered label code of every in-edge, evaluates
+    [i]'s reaction through the packed kernel's compiled tier
+    ({!Kernel.row_array} / {!Kernel.row_offset} — table, memo or raw),
+    records the output, and sends one message per out-edge, which arrives
+    at [now + draw(latency)]; a {b delivery} simply overwrites its edge's
+    last-delivered slot.
 
-    {b Event storage.} No boxed event records anywhere: each pending-event
-    structure is parallel flat arrays (time, edge/node id, payload code),
-    three words per in-flight message, and each holds a single priority
-    class so ordering across classes is one comparison in the run loop.
-    The n activation clocks are simulated by their Poisson superposition —
-    a single merged [Exp (n * rate)] clock (one scalar) plus a uniform
-    node pick per event, the identical stochastic process with n times
-    fewer pending events. Constant-latency deliveries (including sync
-    mode) arrive in push order, so they live in a FIFO ring buffer with
-    O(1) push and pop; only variable-latency deliveries need a priority
-    queue — a flat 4-ary min-heap whose sift loops are allocation-free.
+    {b Event storage.} No boxed event records and no priority queue. The
+    n activation clocks are simulated by their Poisson superposition — a
+    single merged [Exp (n * rate)] clock (one scalar) plus a uniform node
+    pick per activation, the identical stochastic process with n times
+    fewer pending events; sync mode sweeps the nodes at each integer time
+    instead. Constant-latency messages (including sync mode's) arrive in
+    send order, so they live in a FIFO ring buffer of flat arrays
+    (time, edge, code), drained up to each activation time. Variable-
+    latency messages are never ordered: each is pushed onto its edge's
+    in-flight list (an [m]-sized head array over a pool of
+    (next, time, code) slots). A node reacts only to the latest label on
+    each in-edge, so before node [i] reacts at time [t] each of its
+    in-edges is {e resolved}: every message that has arrived by [t] counts
+    as a delivery, and the edge takes the code of the latest arrival.
+    {!run} resolves every edge at the horizon before it returns, so
+    {!labels}, {!config} and {!stats} read exactly as if every delivery had
+    been processed in time order. This is exact because a message is sent
+    after the last resolution of its edge, so it never arrives before a
+    label the edge already applied; two arrivals on one edge at the same
+    time are (barring float coincidences) the two copies of one duplicated
+    message, which carry the same code.
 
     {b Faults as latency.} Netlab's message faults reduce to latency
     special cases instead of a parallel code path: loss is a delivery
-    scheduled at [+∞] (i.e. never pushed), duplication is two pushes with
+    scheduled at [+∞] (i.e. never sent), duplication is two sends with
     independent latency draws, and a crash is a window during which a node's
     activations fire but its reaction is suppressed.
 
@@ -47,9 +58,10 @@
     [Schedule.synchronous]. The differential suite pins this across the
     proptest protocol matrix and all kernel tiers. *)
 
-(** Per-edge message latency distribution. Draws are strictly positive for
-    all four shapes (uniform requires [0 <= lo <= hi]; a zero draw is
-    clamped away by the generator's open-interval uniforms). *)
+(** Per-edge message latency distribution. Draws are nonnegative; they can
+    be zero ([Const 0.0], [Uniform (0.0, 0.0)], and [Exp] when the uniform
+    variate is exactly 1), and a message with zero latency arrives at the
+    time it was sent — still before its receiver's next activation. *)
 type latency =
   | Const of float  (** every message takes exactly this long *)
   | Uniform of float * float  (** uniform on [[lo, hi]] *)
@@ -72,9 +84,9 @@ val no_faults : faults
 type ('x, 'l) t
 
 (** Cumulative counters since {!create}; [time] is the simulation clock
-    after the last {!run}, [pending] the number of events still queued
-    (in-flight messages plus armed activation clocks — sync mode's n
-    per-node clocks, or async mode's single merged clock). *)
+    after the last {!run}, [pending] the number of events still to come
+    (in-flight messages plus armed activation clocks — one per node in
+    sync mode, the single merged clock in async mode). *)
 type stats = {
   events : int;  (** activations + deliveries processed *)
   activations : int;

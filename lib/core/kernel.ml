@@ -328,7 +328,7 @@ let row_array t i =
 
 (* Offset in [row] (= [row_array t i]) of node [i]'s reaction to [src]: the
    out-edge codes, then the output. Computes the row on a miss. *)
-let row_offset t i src row =
+let row_offset t ~src ~i row =
   let mode = Array.unsafe_get t.mode i in
   if mode = mode_table then begin
     let code = in_code t i src in
@@ -345,16 +345,6 @@ let row_offset t i src row =
     fill_row t i src row 0;
     0
   end
-
-(* [eval t src i] is node [i]'s reaction to [src] as [(row, base)]: the
-   out-edge codes live at [row.(base) .. row.(base + dout - 1)] and the
-   output at [row.(base + dout)]. The row may be shared scratch — consume
-   it before the next [eval]. *)
-let eval t src i =
-  let row = row_array t i in
-  (row, row_offset t i src row)
-
-let eval_row t ~src ~i = eval t src i
 
 (* The hot loop: the table and raw tiers inlined so that a warm step
    allocates nothing — no [(row, base)] pair, no closure over the active
@@ -489,7 +479,7 @@ let is_stable_packed t src =
   while !stable && !i < t.n do
     let node = !i in
     let row = row_array t node in
-    let base = row_offset t node src row in
+    let base = row_offset t ~src ~i:node row in
     let olo = t.out_off.(node) in
     let d = t.out_off.(node + 1) - olo in
     let k = ref 0 in
@@ -510,7 +500,7 @@ let is_stable t ~labels = is_stable_packed t labels
    settle refresh at a stable horizon. *)
 let node_output t ~labels ~i =
   let row = row_array t i in
-  row.(row_offset t i labels row + t.out_off.(i + 1) - t.out_off.(i))
+  row.(row_offset t ~src:labels ~i row + t.out_off.(i + 1) - t.out_off.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Verdicts and settling: one packed core                              *)

@@ -170,14 +170,18 @@ val settle_codes :
     its out-edges unchanged. *)
 val is_stable : ('x, 'l) t -> labels:int array -> bool
 
-(** [eval_row t ~src ~i] evaluates node [i]'s reaction against the packed
-    edge labeling [src] through whichever tier [i] was compiled to, returning
-    [(row, base)]: the code of [i]'s [k]-th out-edge (in
-    [Digraph.out_edges] order) is [row.(base + k)] and the output is
-    [row.(base + out_degree i)]. The row is kernel-owned (a lookup table,
-    memo store, or shared scratch): it is valid only until the next call into
-    the kernel and must not be mutated. This is the single-node entry point
-    the event-driven simulator ({!Eventsim}) reacts through, so an
-    asynchronous activation costs exactly what a kernel step charges per
-    node. *)
-val eval_row : ('x, 'l) t -> src:int array -> i:int -> int array * int
+(** [row_array t i] is the kernel-owned array holding node [i]'s reaction
+    rows under whichever tier [i] was compiled to (a lookup table, memo
+    store, or shared scratch row). It must not be mutated. *)
+val row_array : ('x, 'l) t -> int -> int array
+
+(** [row_offset t ~src ~i row], with [row = row_array t i], evaluates node
+    [i]'s reaction against the packed edge labeling [src] (computing the
+    row on a miss) and returns its offset [base]: the code of [i]'s [k]-th
+    out-edge (in [Digraph.out_edges] order) is [row.(base + k)] and the
+    output is [row.(base + out_degree i)]. The row is valid only until the
+    next call into the kernel. Together the two calls are the allocation-free
+    single-node entry point the event-driven simulator ({!Eventsim}) reacts
+    through, so an asynchronous activation costs exactly what a kernel step
+    charges per node. *)
+val row_offset : ('x, 'l) t -> src:int array -> i:int -> int array -> int

@@ -185,12 +185,11 @@ let metric_of g labels ~hit =
   done;
   !count
 
-(* Horizon slices between deadline polls on [run_poll]. Slicing does not
-   change the trajectory: the event loop's priority (earlier time first,
-   deliveries before activations at equal times; a delivery exactly at
-   the horizon is processed, an activation is not) means parking at an
-   intermediate horizon and resuming replays the same event order — so
-   [run] and [run_poll] are bit-identical. *)
+(* Horizon slices between deadline polls on [run_poll]; [run] goes to
+   the horizon in one call. Slicing does not change the trajectory
+   (parking at an intermediate horizon and resuming replays the same
+   event order, see {!Eventsim.run}), so [run] and [run_poll] are
+   bit-identical. *)
 let deadline_slices = 8
 
 let build scenario topology ~graph_seed ~nodes ~rate ~latency ~faults =
@@ -205,16 +204,15 @@ let build scenario topology ~graph_seed ~nodes ~rate ~latency ~faults =
   let make ~g ~p ~input ~init ~hit =
     let n = Digraph.num_nodes g in
     let max_memo_entries = if n > memo_cutoff then Some 0 else None in
-    let run_poll ~poll ~seed ~horizon =
+    let run_sliced ~slices ~poll ~seed ~horizon =
       let sim =
         Eventsim.create ?max_memo_entries ~rate ~latency ~faults ~seed p
           ~input ~init
       in
-      for k = 1 to deadline_slices - 1 do
+      for k = 1 to slices - 1 do
         ignore
           (Eventsim.run sim
-             ~horizon:
-               (horizon *. float_of_int k /. float_of_int deadline_slices));
+             ~horizon:(horizon *. float_of_int k /. float_of_int slices));
         poll ()
       done;
       ignore (Eventsim.run sim ~horizon);
@@ -227,8 +225,8 @@ let build scenario topology ~graph_seed ~nodes ~rate ~latency ~faults =
       scenario;
       topology;
       desc;
-      run = (fun ~seed ~horizon -> run_poll ~poll:ignore ~seed ~horizon);
-      run_poll;
+      run = run_sliced ~slices:1 ~poll:ignore;
+      run_poll = run_sliced ~slices:deadline_slices;
     }
   in
   match scenario with
