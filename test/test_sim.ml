@@ -153,7 +153,8 @@ module Simlab = Stateless_simlab.Simlab
 let golden_faults =
   [
     ("clean", Eventsim.no_faults);
-    ("faulty", { Eventsim.loss = 0.05; dup = 0.02; crash = 0.01; crash_len = 1.0 });
+    ( "faulty",
+      { Eventsim.loss = 0.05; dup = 0.02; crash = 0.01; crash_len = 1.0 } );
   ]
 
 let golden_instances () =
@@ -183,8 +184,9 @@ let golden_row (r : Simlab.result) =
   ( r.events, r.activations, r.deliveries, r.lost, r.duplicated,
     r.crash_windows, r.metric, r.label_hash )
 
-(* (instance, seed) -> golden_row, recorded from the heap-based event
-   queue. *)
+(* (instance, seed) -> golden_row, recorded when deliveries were still
+   ordered in a global priority queue, so per-edge resolution is checked
+   against an independent implementation. *)
 let golden_table =
   [
     ("ring exp:0.7 clean seed 1",
