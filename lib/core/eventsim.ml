@@ -352,8 +352,8 @@ let create ?max_table_words ?max_memo_entries ?(rate = 1.0)
   if not sync then advance_clock t;
   t
 
-(* Activate node [i] at [t.at]: resolve its in-edges, then react unless
-   a crash window suppresses it. *)
+(* Activate node [i] at [t.at]: unless a crash window suppresses the
+   reaction, resolve [i]'s in-edges and react. *)
 let activate t i =
   t.events <- t.events + 1;
   t.activations <- t.activations + 1;
